@@ -28,7 +28,6 @@
 #include "src/campaign/checkpoint.hpp"
 #include "src/campaign/orchestrate.hpp"
 #include "src/campaign/shard.hpp"
-#include "src/campaign/thread_pool.hpp"
 #include "src/core/view.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace_event.hpp"
@@ -36,42 +35,6 @@
 #include "src/trace/report.hpp"
 
 namespace {
-
-/// The pre-batching per-job dispatch, replicated as the baseline the batch
-/// gate compares against: one single-threaded pool task per job through
-/// run_cell_guarded — per-job algorithm construction, topology parse,
-/// compile-cache lookup and heap-backed run tables — with the per-cell
-/// warm-start slots the campaign layer has always had.  Accumulation is
-/// identical to run_campaign's, so the summary must match the batched one.
-lumi::campaign::CampaignSummary run_per_job(const lumi::campaign::Expansion& expansion) {
-  using namespace lumi::campaign;
-  const auto start = std::chrono::steady_clock::now();
-  lumi::ThreadPool pool(1);
-  std::vector<CampaignAccumulator> per_worker(pool.size(),
-                                              CampaignAccumulator(expansion.cells.size()));
-  std::vector<lumi::WarmStartSlot> warm(expansion.cells.size());
-  for (const Job& job : expansion.jobs) {
-    pool.submit([&expansion, &per_worker, &pool, &warm, job] {
-      const std::size_t w = static_cast<std::size_t>(pool.worker_index());
-      per_worker[w].add(job.cell, run_cell_guarded(expansion.cells[job.cell], job.seed,
-                                                   expansion.options, &warm[job.cell]));
-    });
-  }
-  pool.wait_idle();
-  CampaignAccumulator merged(expansion.cells.size());
-  for (const CampaignAccumulator& acc : per_worker) merged.merge(acc);
-  CampaignSummary summary;
-  summary.jobs = expansion.jobs.size();
-  summary.threads = pool.size();
-  summary.cells.reserve(expansion.cells.size());
-  for (std::size_t i = 0; i < expansion.cells.size(); ++i) {
-    summary.cells.push_back({expansion.cells[i], merged.cells()[i]});
-    summary.total.merge(merged.cells()[i]);
-  }
-  summary.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  return summary;
-}
 
 bool same_summary(const lumi::campaign::CampaignSummary& a,
                   const lumi::campaign::CampaignSummary& b) {
@@ -349,9 +312,9 @@ int main(int argc, char** argv) {
   // compile-cache lookup) rivals the runs themselves.  FSYNC expands to one
   // job per cell, so the replicas are added by hand — the scheduler ignores
   // the seed, making them genuine micro-run repeats.  Batched (automatic
-  // sizing, hoisted setup, arena-backed) vs the per-job dispatch baseline
-  // (run_per_job above — one task per job, everything per job), single
-  // thread, median of nine paired passes; summaries must stay identical.
+  // sizing, one CellPlan per batch) vs the per-job dispatch baseline
+  // (batch=1 — one task and one CellPlan per job), single thread, median of
+  // nine paired passes; summaries must stay identical.
   Matrix micro;
   micro.sections = paper_sections();
   micro.rows = {4, 4, 1};
@@ -386,7 +349,7 @@ int main(int argc, char** argv) {
   for (int attempt = 0; attempt < 3; ++attempt) {
     std::vector<MicroPass> micro_passes(9);
     for (MicroPass& p : micro_passes) {
-      p.per_job = run_per_job(micro_expansion);
+      p.per_job = run_campaign(micro_expansion, 1, 1);
       p.batched = run_campaign(micro_expansion, 1, 0);
       p.ratio = p.per_job.wall_seconds / p.batched.wall_seconds;
     }
@@ -412,16 +375,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("batched and per-job summaries identical: yes\n");
-
-  // Arena footprint of one micro-run: how much scratch a batch item bumps
-  // before the inter-item rewind (steady-state batches do no heap traffic).
-  lumi::Arena arena;
-  run_cell_batch(micro_expansion.cells[0], std::vector<unsigned>{1, 2, 3, 4},
-                 micro_expansion.options, nullptr, &arena,
-                 [](std::size_t, const lumi::RunResult&) {});
-  const std::size_t arena_high_water = arena.high_water();
-  std::printf("  arena high water: %zu bytes/run, %zu chunks retained\n", arena_high_water,
-              arena.chunk_count());
 
   // --- plain-grid abstraction overhead --------------------------------------
   const SnapshotOverhead overhead = measure_snapshot_overhead();
@@ -551,7 +504,6 @@ int main(int argc, char** argv) {
                   "  \"micro_per_job_jobs_per_sec\": %.1f,\n"
                   "  \"micro_batched_jobs_per_sec\": %.1f,\n"
                   "  \"batch_speedup\": %.2f,\n"
-                  "  \"arena_high_water_bytes\": %zu,\n"
                   "  \"recompute_jobs_per_sec\": %.1f,\n"
                   "  \"single_jobs_per_sec\": %.1f,\n"
                   "  \"incremental_speedup\": %.2f,\n"
@@ -577,7 +529,7 @@ int main(int argc, char** argv) {
                   "  \"checkpoint_flush_ms_mean\": %.3f\n"
                   "}\n",
                   parallel.jobs, parallel.threads, micro_per_job_rate, micro_batched_rate,
-                  batch_speedup, arena_high_water, recompute_rate, single_rate,
+                  batch_speedup, recompute_rate, single_rate,
                   incremental_speedup, parallel_rate, parallel_rate / single_rate,
                   base.checkpoint.cells.size(), checkpoint_write_ms, kShards, shard_merge_ms,
                   topo_rates[0].jobs_per_sec, topo_rates[1].jobs_per_sec,

@@ -98,30 +98,22 @@ double measure_ns_per_guard_sweep(const std::vector<Workload>& workloads, long i
 }
 
 /// Single-threaded sweep of every expansion job; returns jobs/s plus the
-/// summed dirty-tracker counters (zero when `incremental` is off).  With
-/// `warm_start`, each cell shares one WarmStartSlot across its seeds (the
-/// campaign runner's wiring), so only the first run of a cell pays the
-/// tracker's initial full compute.
+/// summed dirty-tracker counters (zero when `incremental` is off).
 struct EngineMeasure {
   double jobs_per_sec = 0.0;
   long reused = 0;
   long recomputed = 0;
-  long warm_reused = 0;
 };
 
-EngineMeasure measure_engine(const campaign::Expansion& expansion, bool incremental,
-                             bool warm_start = false) {
+EngineMeasure measure_engine(const campaign::Expansion& expansion, bool incremental) {
   RunOptions options = expansion.options;
   options.incremental = incremental;
-  std::vector<WarmStartSlot> slots(warm_start ? expansion.cells.size() : 0);
   EngineMeasure out;
   const auto start = std::chrono::steady_clock::now();
   for (const campaign::Job& job : expansion.jobs) {
-    const RunResult r = campaign::run_cell(expansion.cells[job.cell], job.seed, options,
-                                           warm_start ? &slots[job.cell] : nullptr);
+    const RunResult r = campaign::run_cell(expansion.cells[job.cell], job.seed, options);
     out.reused += r.stats.match_reused;
     out.recomputed += r.stats.match_recomputed;
-    out.warm_reused += r.stats.match_warm_reused;
   }
   out.jobs_per_sec = static_cast<double>(expansion.jobs.size()) / seconds_since(start);
   return out;
@@ -218,15 +210,6 @@ int main(int argc, char** argv) {
           : static_cast<double>(incremental.reused) /
                 static_cast<double>(incremental.reused + incremental.recomputed);
 
-  // Per-cell warm start on top of dirty tracking: the campaign runner's
-  // production wiring.  Same jobs, one shared verdict table per cell.
-  const EngineMeasure warm_a = measure_engine(expansion, /*incremental=*/true,
-                                              /*warm_start=*/true);
-  const EngineMeasure warm_b = measure_engine(expansion, /*incremental=*/true,
-                                              /*warm_start=*/true);
-  const EngineMeasure warm = warm_a.jobs_per_sec >= warm_b.jobs_per_sec ? warm_a : warm_b;
-  const double warm_speedup = warm.jobs_per_sec / incremental.jobs_per_sec;
-
   std::printf("bench_matching (%zu algorithms)\n", workloads.size());
   std::printf("  naive:         %8.1f ns/match\n", naive_ns);
   std::printf("  compiled:      %8.1f ns/match  (%.2fx)\n", compiled_ns, speedup);
@@ -239,9 +222,6 @@ int main(int argc, char** argv) {
   std::printf("  recompute:     %8.1f jobs/s (1 thread)\n", recompute.jobs_per_sec);
   std::printf("  incremental:   %8.1f jobs/s (1 thread, %.2fx, %.1f%% verdicts reused)\n",
               incremental.jobs_per_sec, incremental_speedup, 100.0 * reuse_fraction);
-  std::printf("  warm start:    %8.1f jobs/s (1 thread, %.2fx over incremental, "
-              "%ld verdicts warm-reused)\n",
-              warm.jobs_per_sec, warm_speedup, warm.warm_reused);
 
   char json[2048];
   std::snprintf(json, sizeof(json),
@@ -262,17 +242,13 @@ int main(int argc, char** argv) {
                 "  \"incremental_speedup\": %.2f,\n"
                 "  \"incremental_verdicts_reused\": %ld,\n"
                 "  \"incremental_verdicts_recomputed\": %ld,\n"
-                "  \"incremental_reuse_fraction\": %.4f,\n"
-                "  \"warm_jobs_per_sec\": %.1f,\n"
-                "  \"warm_speedup_over_incremental\": %.3f,\n"
-                "  \"warm_verdicts_reused\": %ld\n"
+                "  \"incremental_reuse_fraction\": %.4f\n"
                 "}\n",
                 naive_ns, compiled_ns, first_enabled_ns, speedup, guard_scalar_ns,
                 guard_dispatch_ns, guard_simd ? "true" : "false", snapshot_ns, summary.jobs,
                 summary.threads, jobs_per_sec, recompute.jobs_per_sec,
                 incremental.jobs_per_sec, incremental_speedup, incremental.reused,
-                incremental.recomputed, reuse_fraction, warm.jobs_per_sec, warm_speedup,
-                warm.warm_reused);
+                incremental.recomputed, reuse_fraction);
   if (!write_text_file(out_path, json)) {
     std::printf("FAIL: cannot write %s\n", out_path.c_str());
     return 1;

@@ -333,44 +333,40 @@ int main(int argc, char** argv) {
     obs::TraceWriter::install(&*trace);
   }
 
+  // The resume/escalation tally is only printed when one of those features
+  // is in play.
   const bool orchestrated = args.shard.count > 1 || !args.checkpoint_path.empty() ||
                             args.adaptive.enabled || args.max_jobs != 0;
-  campaign::CampaignSummary summary;
-  bool complete = true;
   obs::ProgressMeter::Options meter_opts;
   meter_opts.total_jobs = expansion.jobs.size();
   meter_opts.total_cells = expansion.cells.size();
   meter_opts.force = args.progress;
   std::optional<obs::ProgressMeter> meter;
   if (meter_wanted) meter.emplace(meter_opts);
+  campaign::OrchestratorOptions opts;
+  opts.threads = args.threads;
+  opts.checkpoint_path = args.checkpoint_path;
+  opts.flush_seconds = args.flush_interval;
+  opts.max_jobs = args.max_jobs;
+  opts.batch = args.batch;
+  opts.adaptive = args.adaptive;
+  opts.record_anomalies = args.record_anomalies;
+  campaign::OrchestratorReport report;
+  try {
+    report = campaign::run_orchestrated(expansion, opts);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "orchestration failed: %s\n", e.what());
+    return 2;
+  }
   if (orchestrated) {
-    campaign::OrchestratorOptions opts;
-    opts.threads = args.threads;
-    opts.checkpoint_path = args.checkpoint_path;
-    opts.flush_seconds = args.flush_interval;
-    opts.max_jobs = args.max_jobs;
-    opts.batch = args.batch;
-    opts.adaptive = args.adaptive;
-    opts.record_anomalies = args.record_anomalies;
-    campaign::OrchestratorReport report;
-    try {
-      report = campaign::run_orchestrated(expansion, opts);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "orchestration failed: %s\n", e.what());
-      return 2;
-    }
     std::printf("orchestrator: %zu skipped (checkpoint), %zu executed, "
                 "%zu escalation jobs over %u rounds%s\n",
                 report.jobs_skipped, report.jobs_executed, report.escalation_jobs,
                 report.escalation_rounds,
                 report.complete ? "" : " — INCOMPLETE (max-jobs hit), resume with --checkpoint");
-    summary = std::move(report.summary);
-    complete = report.complete;
-  } else {
-    summary = campaign::run_campaign(
-        expansion, args.threads, args.batch,
-        args.record_anomalies.dir.empty() ? nullptr : &args.record_anomalies);
   }
+  const campaign::CampaignSummary summary = std::move(report.summary);
+  const bool complete = report.complete;
   meter.reset();  // joins the sampler and clears the status line
 
   if (!args.quiet) {

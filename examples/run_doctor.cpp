@@ -206,7 +206,7 @@ int record(int argc, char** argv) {
   opts.max_steps = max_steps;
   opts.require_unique_actions = unique_actions;
   opts.recorder = &recorder;
-  const RunResult result = campaign::run_with_sched(alg, topo, *kind, seed, opts);
+  const RunResult result = campaign::run_with_sched(CellPlan(alg, topo), *kind, seed, opts);
   const obs::Recording rec = obs::make_recording(recorder, result);
   if (!obs::recording_write(out_path, rec)) {
     std::fprintf(stderr, "run_doctor: cannot write '%s'\n", out_path.c_str());

@@ -1,9 +1,10 @@
 // Mergeable result accumulators for campaign runs.
 //
 // Every statistic here is order-independent (exact integer sums, min/max,
-// log2 histograms), so merging per-worker accumulators at join yields
-// bit-identical campaign summaries regardless of thread count or stealing
-// order — the property tests/test_campaign.cpp pins down.
+// log2 histograms), so adding runs in any order, or merging shard
+// accumulators, yields bit-identical campaign summaries regardless of
+// thread count or stealing order — the property tests/test_campaign.cpp
+// pins down.
 #pragma once
 
 #include <array>
@@ -72,9 +73,8 @@ struct CellAccumulator {
   friend bool operator==(const CellAccumulator&, const CellAccumulator&) = default;
 };
 
-/// Per-worker campaign accumulator: a dense cell vector indexed by the job's
-/// cell id, so the hot path is a plain array write with no locks; workers'
-/// accumulators are merged once at pool join.
+/// A dense cell vector indexed by the job's cell id; merging two of them is
+/// exact and order-independent, like every accumulator here.
 class CampaignAccumulator {
  public:
   explicit CampaignAccumulator(std::size_t num_cells) : cells_(num_cells) {}

@@ -1,18 +1,13 @@
 #include "src/campaign/campaign.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <exception>
 #include <limits>
-#include <memory>
 #include <stdexcept>
-#include <utility>
 
 #include "src/algorithms/registry.hpp"
 #include "src/analysis/rule_analysis.hpp"
-#include "src/campaign/thread_pool.hpp"
 #include "src/dsl/dsl.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/recorder.hpp"
@@ -192,40 +187,40 @@ Expansion expand(const Matrix& matrix) {
   return out;
 }
 
-/// The per-item tail of a job once the expensive setup — registry make(),
-/// topology parse, compile-cache lookup — has been done (per job in
-/// run_cell, once per batch in run_cell_batch).  Scheduler construction is
-/// trivial and stays per item so every seed gets a fresh one.  Public: the
-/// doctor replays recordings through this same funnel.
-RunResult run_with_sched(const Algorithm& alg, const Topology& topo, SchedKind kind,
-                         unsigned seed, const RunOptions& opts) {
+RunResult run_with_sched(const CellPlan& plan, SchedKind kind, unsigned seed,
+                         const RunOptions& opts) {
   switch (kind) {
     case SchedKind::Fsync: {
       FsyncScheduler s(seed);
-      return run_sync(alg, topo, s, opts);
+      return run_sync(plan, s, opts);
     }
     case SchedKind::SsyncRandom: {
       SsyncRandomScheduler s(seed);
-      return run_sync(alg, topo, s, opts);
+      return run_sync(plan, s, opts);
     }
     case SchedKind::SsyncRoundRobin: {
       SsyncRoundRobinScheduler s;
-      return run_sync(alg, topo, s, opts);
+      return run_sync(plan, s, opts);
     }
     case SchedKind::AsyncRandom: {
       AsyncRandomScheduler s(seed);
-      return run_async(alg, topo, s, opts);
+      return run_async(plan, s, opts);
     }
     case SchedKind::AsyncCentralized: {
       AsyncCentralizedScheduler s;
-      return run_async(alg, topo, s, opts);
+      return run_async(plan, s, opts);
     }
     case SchedKind::AsyncStaleStress: {
       AsyncStaleStressScheduler s(seed);
-      return run_async(alg, topo, s, opts);
+      return run_async(plan, s, opts);
     }
   }
   throw std::invalid_argument("run_with_sched: bad SchedKind");
+}
+
+CellPlan plan_cell(const Cell& cell) {
+  return CellPlan(algorithms::entry(cell.section).make(),
+                  make_topology(cell.topo, cell.rows, cell.cols));
 }
 
 namespace {
@@ -253,31 +248,27 @@ std::string sanitize_for_filename(const std::string& s) {
 bool capture_anomaly(const Cell& cell, unsigned seed, const RunOptions& base,
                      const AnomalyCapture& capture) {
   try {
-    const Algorithm alg = algorithms::entry(cell.section).make();
-    const Topology topo = make_topology(cell.topo, cell.rows, cell.cols);
+    const CellPlan plan = plan_cell(cell);
     // A hash revisit only proves non-termination when the scheduler is a
     // pure function of the configuration: FSYNC's first-behavior adversary
     // is; round-robin and the async engines carry private state, so their
     // runs record without the cycle detector.
     obs::Recorder rec({.capacity = 4096, .detect_cycles = cell.sched == SchedKind::Fsync});
     rec.set_provenance({.section = cell.section,
-                        .algorithm_text = dsl::serialize(alg),
-                        .topo_spec = topo.spec(),
+                        .algorithm_text = dsl::serialize(plan.alg),
+                        .topo_spec = plan.topo.spec(),
                         .rows = cell.rows,
                         .cols = cell.cols,
                         .scheduler = to_string(cell.sched),
                         .seed = seed,
                         .max_steps = base.max_steps,
                         .require_unique_actions = base.require_unique_actions});
-    // Fresh options: the warm/arena/precompiled plumbing is pure perf and
-    // tied to the worker that owned the original run; the result-bearing
-    // knobs (budget, verifier) carry over so the re-run reproduces the
-    // anomaly exactly.
-    RunOptions opts;
-    opts.max_steps = base.max_steps;
-    opts.require_unique_actions = base.require_unique_actions;
+    // The job's budget and verifier carry over, so the re-run reproduces
+    // the anomaly exactly; the recorder replaces any trace.
+    RunOptions opts = base;
+    opts.record_trace = false;
     opts.recorder = &rec;
-    const RunResult result = run_with_sched(alg, topo, cell.sched, seed, opts);
+    const RunResult result = run_with_sched(plan, cell.sched, seed, opts);
     const std::string name = "anomaly-" + sanitize_for_filename(cell.section) + "-" +
                              std::to_string(cell.rows) + "x" + std::to_string(cell.cols) + "-" +
                              sanitize_for_filename(cell.topo) + "-" + to_string(cell.sched) +
@@ -288,19 +279,13 @@ bool capture_anomaly(const Cell& cell, unsigned seed, const RunOptions& base,
   }
 }
 
-RunResult run_cell(const Cell& cell, unsigned seed, const RunOptions& options,
-                   WarmStartSlot* warm) {
-  const Algorithm alg = algorithms::entry(cell.section).make();
-  const Topology topo = make_topology(cell.topo, cell.rows, cell.cols);
-  RunOptions opts = options;
-  opts.warm_start = warm;
-  return run_with_sched(alg, topo, cell.sched, seed, opts);
+RunResult run_cell(const Cell& cell, unsigned seed, const RunOptions& options) {
+  return run_with_sched(plan_cell(cell), cell.sched, seed, options);
 }
 
-RunResult run_cell_guarded(const Cell& cell, unsigned seed, const RunOptions& options,
-                           WarmStartSlot* warm) {
+RunResult run_cell_guarded(const Cell& cell, unsigned seed, const RunOptions& options) {
   try {
-    return run_cell(cell, seed, options, warm);
+    return run_cell(cell, seed, options);
   } catch (const std::exception& e) {
     return failure_result(e);
   }
@@ -317,7 +302,7 @@ std::size_t auto_batch_size(const Cell& cell) {
 }
 
 void run_cell_batch(const Cell& cell, std::span<const unsigned> seeds,
-                    const RunOptions& options, WarmStartSlot* warm, Arena* arena,
+                    const RunOptions& options,
                     const std::function<void(std::size_t, const RunResult&)>& sink) {
   // Telemetry handles, resolved once per process (cold, locked).  Recording
   // is a relaxed load + branch while the registry is disabled; the counters
@@ -329,27 +314,13 @@ void run_cell_batch(const Cell& cell, std::span<const unsigned> seeds,
       obs::Registry::global().counter("campaign.match.reused");
   static obs::Counter& obs_match_recomputed =
       obs::Registry::global().counter("campaign.match.recomputed");
-  static obs::Counter& obs_match_warm =
-      obs::Registry::global().counter("campaign.match.warm_reused");
-  static obs::Gauge& obs_arena_hw =
-      obs::Registry::global().gauge("campaign.arena_high_water.max");
   obs_batch_items.record(static_cast<long long>(seeds.size()));
   obs::Span span("campaign.batch", "campaign");
   span.set_arg("items", static_cast<long long>(seeds.size()));
 
-  std::optional<Algorithm> alg;
-  std::optional<Topology> topo;
-  std::optional<Configuration> initial;
-  RunOptions opts = options;
-  opts.warm_start = warm;
+  std::optional<CellPlan> plan;
   try {
-    alg.emplace(algorithms::entry(cell.section).make());
-    topo.emplace(make_topology(cell.topo, cell.rows, cell.cols));
-    opts.precompiled = CompiledAlgorithm::get(*alg);
-    // Validation, placement canonicalization and the occupancy build happen
-    // once here; each item starts from an arena-backed copy.
-    initial.emplace(alg->initial_configuration(*topo));
-    opts.initial = &*initial;
+    plan.emplace(plan_cell(cell));
   } catch (const std::exception& e) {
     const RunResult r = failure_result(e);
     for (std::size_t i = 0; i < seeds.size(); ++i) {
@@ -358,27 +329,11 @@ void run_cell_batch(const Cell& cell, std::span<const unsigned> seeds,
     }
     return;
   }
-  // After the first item has published the cell's warm start, hold one
-  // reference for the whole batch and hand items the raw pointer: the
-  // slot's mutex and shared_ptr traffic drop out of the per-item loop.
-  std::shared_ptr<const TrackerWarmStart> adopted;
   for (std::size_t i = 0; i < seeds.size(); ++i) {
-    if (arena != nullptr) {
-      // Everything the previous item bump-allocated is dead (its result was
-      // consumed by sink, and results never point into the arena), so the
-      // chunks rewind and this item reuses the warm memory.
-      arena->reset();
-      opts.arena = arena;
-    }
-    if (warm != nullptr && adopted == nullptr) {
-      adopted = warm->get();
-      opts.warm_adopt = adopted.get();
-    }
     try {
-      const RunResult& r = run_with_sched(*alg, *topo, cell.sched, seeds[i], opts);
+      const RunResult r = run_with_sched(*plan, cell.sched, seeds[i], options);
       obs_match_reused.add(r.stats.match_reused);
       obs_match_recomputed.add(r.stats.match_recomputed);
-      obs_match_warm.add(r.stats.match_warm_reused);
       obs_jobs_done.add(1);
       sink(i, r);
     } catch (const std::exception& e) {
@@ -386,110 +341,6 @@ void run_cell_batch(const Cell& cell, std::span<const unsigned> seeds,
       sink(i, failure_result(e));
     }
   }
-  if (arena != nullptr) obs_arena_hw.record_max(static_cast<long long>(arena->high_water()));
-}
-
-CampaignSummary run_campaign(const Expansion& expansion, unsigned threads, std::size_t batch,
-                             const AnomalyCapture* capture) {
-  // wall_seconds is an execution-environment diagnostic: it never reaches
-  // checkpoints or the merged JSON report.  lumi-lint: allow(wall-clock)
-  const auto start = std::chrono::steady_clock::now();
-  ThreadPool pool(threads);
-
-  // One accumulator per worker: the hot path writes thread-private state;
-  // the merge at join is order-independent, so the summary is identical for
-  // any worker count.
-  std::vector<CampaignAccumulator> per_worker(pool.size(),
-                                              CampaignAccumulator(expansion.cells.size()));
-  // One run-scratch arena per worker: each batch item's configuration and
-  // tracker tables are pointer bumps into it, rewound between items.
-  std::vector<std::unique_ptr<Arena>> arenas;
-  arenas.reserve(pool.size());
-  for (unsigned w = 0; w < pool.size(); ++w) arenas.push_back(std::make_unique<Arena>());
-  // One warm-start slot per cell: the first job of a cell publishes its
-  // initial verdict table, the cell's other seeds skip the initial full
-  // compute (pure perf — summaries are identical either way).
-  std::vector<WarmStartSlot> warm(expansion.cells.size());
-  // Telemetry-only countdown backing the campaign.cells_done counter for the
-  // live progress meter; results never read it.
-  static obs::Counter& obs_cells_done = obs::Registry::global().counter("campaign.cells_done");
-  auto remaining = std::make_unique<std::atomic<long long>[]>(expansion.cells.size());
-  for (std::size_t c = 0; c < expansion.cells.size(); ++c)
-    remaining[c].store(0, std::memory_order_relaxed);  // lumi-lint: allow(relaxed-atomic)
-  for (const Job& job : expansion.jobs)
-    // lumi-lint: allow(relaxed-atomic) — telemetry countdown, pre-pool setup
-    remaining[job.cell].fetch_add(1, std::memory_order_relaxed);
-  // Anomaly-capture claim counter: workers race fetch_add for the K capture
-  // slots.  Telemetry-side only — which jobs win affects which .lumirec
-  // files appear, never the summary (each file's content is deterministic).
-  // lumi-lint: allow(relaxed-atomic)
-  std::atomic<std::size_t> capture_claims{0};
-  const bool capturing = capture != nullptr && !capture->dir.empty();
-  // Consecutive same-cell jobs are grouped into one pool task of at most
-  // `batch` items (0 = per-cell automatic) so tiny runs amortize their
-  // setup; the accumulator adds are exact commutative integer updates, so
-  // the summary is byte-identical at any grouping.
-  std::size_t i = 0;
-  while (i < expansion.jobs.size()) {
-    const std::size_t cell = expansion.jobs[i].cell;
-    const std::size_t cap = batch != 0 ? batch : auto_batch_size(expansion.cells[cell]);
-    std::vector<unsigned> seeds;
-    while (i < expansion.jobs.size() && expansion.jobs[i].cell == cell && seeds.size() < cap) {
-      seeds.push_back(expansion.jobs[i].seed);
-      ++i;
-    }
-    pool.submit([&expansion, &per_worker, &pool, &warm, &arenas, &remaining, &capture_claims,
-                 capture, capturing, cell, seeds = std::move(seeds)] {
-      const std::size_t w = static_cast<std::size_t>(pool.worker_index());
-      run_cell_batch(expansion.cells[cell], seeds, expansion.options, &warm[cell],
-                     arenas[w].get(),
-                     [&expansion, &per_worker, &remaining, &capture_claims, &seeds, capture,
-                      capturing, w, cell](std::size_t item, const RunResult& r) {
-                       per_worker[w].add(cell, r);
-                       // Anomalous job: claim a capture slot and re-run it
-                       // with a recorder.  Entirely outside the accumulator
-                       // path — the summary bytes cannot see it.
-                       if (capturing && !r.failure.empty() &&
-                           // lumi-lint: allow(relaxed-atomic)
-                           capture_claims.fetch_add(1, std::memory_order_relaxed) <
-                               capture->limit) {
-                         capture_anomaly(expansion.cells[cell], seeds[item], expansion.options,
-                                         *capture);
-                       }
-                       // Cell-completion tick for the progress meter only.
-                       // lumi-lint: allow(relaxed-atomic)
-                       if (remaining[cell].fetch_sub(1, std::memory_order_relaxed) == 1) {
-                         obs_cells_done.add(1);
-                       }
-                     });
-    });
-  }
-  pool.wait_idle();
-
-  CampaignAccumulator merged(expansion.cells.size());
-  for (const CampaignAccumulator& acc : per_worker) merged.merge(acc);
-
-  CampaignSummary summary;
-  summary.jobs = expansion.jobs.size();
-  summary.threads = pool.size();
-  summary.cells.reserve(expansion.cells.size());
-  for (std::size_t i = 0; i < expansion.cells.size(); ++i) {
-    summary.cells.push_back({expansion.cells[i], merged.cells()[i]});
-    summary.total.merge(merged.cells()[i]);
-  }
-  // lumi-lint: allow(wall-clock) — same diagnostic as the matching read above
-  summary.wall_seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-                             .count();
-  // Execution-environment diagnostics promoted into the metrics snapshot:
-  // the JSON *report* stays env-free, metrics are the separate channel.
-  obs::Registry::global().gauge("campaign.wall_ms").set(
-      static_cast<long long>(summary.wall_seconds * 1000.0));
-  obs::Registry::global().gauge("campaign.threads").set(summary.threads);
-  return summary;
-}
-
-CampaignSummary run_campaign(const Matrix& matrix, unsigned threads, std::size_t batch) {
-  return run_campaign(expand(matrix), threads, batch);
 }
 
 std::vector<std::string> paper_sections() {

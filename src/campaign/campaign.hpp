@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "src/campaign/aggregate.hpp"
-#include "src/core/arena.hpp"
 #include "src/engine/runner.hpp"
 
 namespace lumi::campaign {
@@ -123,49 +122,44 @@ struct Expansion {
 /// rejected before a single job runs.
 Expansion expand(const Matrix& matrix);
 
-/// Runs `alg` on `topo` under a freshly constructed scheduler of kind `kind`
-/// seeded with `seed` — the per-job tail of run_cell once the expensive
-/// setup is done, exposed for the replay/doctor tooling
+/// Runs the plan under a freshly constructed scheduler of kind `kind`
+/// seeded with `seed` — the per-job tail of run_cell once the cell's plan
+/// is built, exposed for the replay/doctor tooling
 /// (src/campaign/doctor.hpp): a recording names (algorithm, topology,
 /// scheduler kind, seed), and re-running through this exact funnel is what
 /// makes replays byte-identical.
-RunResult run_with_sched(const Algorithm& alg, const Topology& topo, SchedKind kind,
-                         unsigned seed, const RunOptions& opts);
+RunResult run_with_sched(const CellPlan& plan, SchedKind kind, unsigned seed,
+                         const RunOptions& opts);
+
+/// The cell's CellPlan: registry algorithm, parsed topology, compiled
+/// tables and initial configuration.  Throws on an unknown section, a bad
+/// topology spec or an initial placement the grid cannot hold.
+CellPlan plan_cell(const Cell& cell);
 
 /// Executes one job (used by the runner; exposed for tests/benches).
-/// `warm`, when given, is the cell's shared initial-verdict slot (see
-/// WarmStartSlot): runs after the first skip the tracker's initial full
-/// compute.  Results are identical with or without it.
-RunResult run_cell(const Cell& cell, unsigned seed, const RunOptions& options,
-                   WarmStartSlot* warm = nullptr);
+RunResult run_cell(const Cell& cell, unsigned seed, const RunOptions& options);
 
 /// Like run_cell, but converts an escaping exception into a RunResult whose
 /// failure string records it (campaigns never abort on a single bad job).
-RunResult run_cell_guarded(const Cell& cell, unsigned seed, const RunOptions& options,
-                           WarmStartSlot* warm = nullptr);
+RunResult run_cell_guarded(const Cell& cell, unsigned seed, const RunOptions& options);
 
 /// How many same-cell jobs one pool task should execute back-to-back when
 /// the batch size is left automatic: sized so per-task work stays roughly
-/// constant — tiny worlds (where per-job setup of algorithm construction,
-/// topology parsing and compile-cache lookup rivals the simulation) get
-/// large batches, big worlds run singly.  Async schedulers spend ~3 events
-/// per robot cycle, so their runs weigh more at equal area.  Derived from
-/// the cell's bounding box only (walled topologies just finish early), so
-/// the grouping — unlike the results, which are identical at any batch
-/// size — is cheap and deterministic.
+/// constant — tiny worlds (where building the cell's plan rivals the
+/// simulation) get large batches, big worlds run singly.  Async schedulers
+/// spend ~3 events per robot cycle, so their runs weigh more at equal area.
+/// Derived from the cell's bounding box only (walled topologies just finish
+/// early), so the grouping — unlike the results, which are identical at any
+/// batch size — is cheap and deterministic.
 std::size_t auto_batch_size(const Cell& cell);
 
-/// Executes `seeds.size()` jobs of `cell` as one unit: per-job setup is
-/// hoisted out of the item loop (the algorithm is built, the topology
-/// parsed, and the matcher compilation resolved once per batch), and each
-/// item's run-local tables live on `arena` (reset between items; null =
-/// heap).  `sink(item, result)` is invoked in seed order before the next
-/// item's reset; results never point into the arena.  Each item is guarded
-/// like run_cell_guarded; a failure of the hoisted setup itself is reported
-/// on every item.  Summaries are byte-identical to running the seeds
-/// through run_cell one by one.
+/// Executes `seeds.size()` jobs of `cell` as one unit: the cell's plan is
+/// built once and every item runs from it.  `sink(item, result)` is invoked
+/// in seed order.  Each item is guarded like run_cell_guarded; a failure to
+/// build the plan is reported on every item.  Summaries are byte-identical
+/// to running the seeds through run_cell one by one.
 void run_cell_batch(const Cell& cell, std::span<const unsigned> seeds,
-                    const RunOptions& options, WarmStartSlot* warm, Arena* arena,
+                    const RunOptions& options,
                     const std::function<void(std::size_t, const RunResult&)>& sink);
 
 struct CellSummary {
@@ -203,13 +197,15 @@ struct CampaignSummary {
 };
 
 /// Runs every job of the expansion on `threads` workers (0 = all hardware
-/// threads).  Exceptions escaping a job are recorded as that run's failure.
-/// `batch` is the number of consecutive same-cell jobs one worker task
-/// executes (0 = automatic per cell via auto_batch_size, 1 = the per-job
-/// reference path).  Summaries are byte-identical for any batch size and
-/// any worker count (tests/test_batching.cpp pins this).  `capture`, when
-/// non-null with a nonempty dir, records the first anomalous jobs (see
-/// AnomalyCapture) without affecting the summary.
+/// threads): run_orchestrated (src/campaign/orchestrate.hpp) with no
+/// checkpoint and no adaptive pass.  Exceptions escaping a job are recorded
+/// as that run's failure.  `batch` is the number of consecutive same-cell
+/// jobs one worker task executes (0 = automatic per cell via
+/// auto_batch_size, 1 = the per-job reference path).  Summaries are
+/// byte-identical for any batch size and any worker count
+/// (tests/test_batching.cpp pins this).  `capture`, when non-null with a
+/// nonempty dir, records the first anomalous jobs (see AnomalyCapture)
+/// without affecting the summary.
 CampaignSummary run_campaign(const Expansion& expansion, unsigned threads = 0,
                              std::size_t batch = 0, const AnomalyCapture* capture = nullptr);
 CampaignSummary run_campaign(const Matrix& matrix, unsigned threads = 0, std::size_t batch = 0);

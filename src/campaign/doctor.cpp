@@ -95,7 +95,7 @@ ReplayCheck replay_recording(const obs::Recording& rec) {
   opts.recorder = &recorder;
 
   ReplayCheck check;
-  check.result = run_with_sched(alg, topo, kind, rec.prov.seed, opts);
+  check.result = run_with_sched(CellPlan(alg, topo), kind, rec.prov.seed, opts);
   check.replayed = obs::make_recording(recorder, check.result);
 
   std::vector<std::string>& d = check.divergences;
@@ -171,7 +171,8 @@ bool certify_cycle(const obs::Recording& rec, std::string& why) {
   RunOptions opts;
   opts.record_trace = true;
   opts.max_steps = start + length;
-  const RunResult replay = run_with_sched(alg, topo, sched_of(rec), rec.prov.seed, opts);
+  const RunResult replay =
+      run_with_sched(CellPlan(alg, topo), sched_of(rec), rec.prov.seed, opts);
   // trace[i] is the configuration entering instant i (trace[0] = initial);
   // the witness claims trace[start] recurs at trace[start + length].
   if (replay.trace.size() <= static_cast<std::size_t>(start + length)) {

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -186,6 +185,19 @@ OrchestratorReport run_orchestrated(const Expansion& expansion,
   }
 
   OrchestratorReport report;
+  // Resume: the base jobs the loaded checkpoint already covers are dropped
+  // before any worker starts, so the decision never races with this
+  // invocation's own results (and duplicate jobs all run).
+  std::vector<Job> base_jobs;
+  base_jobs.reserve(expansion.jobs.size());
+  for (const Job& job : expansion.jobs) {
+    if (seed_done(ck.cells[job.cell], job.seed)) {
+      ++report.jobs_skipped;
+      obs_resume_skips.add(1);
+    } else {
+      base_jobs.push_back(job);
+    }
+  }
   std::mutex state_mu;
   std::uint64_t version = 0;
 
@@ -194,26 +206,18 @@ OrchestratorReport run_orchestrated(const Expansion& expansion,
     report.summary.threads = pool.size();
     CheckpointFlusher flusher(options.checkpoint_path, options.flush_seconds, state_mu, ck,
                               version);
-    // Per-cell warm-start slots shared by base and escalation jobs: only the
-    // first run of a cell pays the tracker's initial full compute.  Pure
-    // perf — checkpoints and summaries are identical either way, so resumed
-    // and sharded legs merge byte-identically regardless of which run warmed
-    // which cell.
-    std::vector<WarmStartSlot> warm(expansion.cells.size());
-    // One run-scratch arena per worker, rewound between batch items.
-    std::vector<std::unique_ptr<Arena>> arenas;
-    arenas.reserve(pool.size());
-    for (unsigned w = 0; w < pool.size(); ++w) arenas.push_back(std::make_unique<Arena>());
-    // Anomaly-capture claim counter (see run_campaign): telemetry-side only.
+    // Anomaly-capture claim counter: workers race fetch_add for the K capture
+    // slots.  Telemetry-side only — which jobs win affects which .lumirec
+    // files appear, never the summary (each file's content is deterministic).
     // lumi-lint: allow(relaxed-atomic)
     std::atomic<std::size_t> capture_claims{0};
 
-    // Submits every job not already covered by the checkpoint, honoring the
-    // per-invocation cap.  Consecutive same-cell jobs are grouped into one
-    // pool task of at most `options.batch` items (0 = automatic); each item
-    // is still recorded in the checkpoint individually, so the cap, the
-    // flusher and kill/resume see single jobs exactly as before.  Returns
-    // false once the cap cut submission short.
+    // Submits the jobs, honoring the per-invocation cap.  Consecutive
+    // same-cell jobs are grouped into one pool task of at most
+    // `options.batch` items (0 = automatic); each item is still recorded in
+    // the checkpoint individually, so the cap, the flusher and kill/resume
+    // see single jobs exactly as before.  Returns false once the cap cut
+    // submission short.
     const auto run_jobs = [&](const std::vector<Job>& jobs, bool base_pass) {
       bool capped = false;
       std::size_t i = 0;
@@ -224,18 +228,6 @@ OrchestratorReport run_orchestrated(const Expansion& expansion,
                                     : auto_batch_size(expansion.cells[cell_index]);
         std::vector<unsigned> seeds;
         while (i < jobs.size() && jobs[i].cell == cell_index && seeds.size() < cap) {
-          const Job job = jobs[i];
-          {
-            std::lock_guard lock(state_mu);
-            if (seed_done(ck.cells[job.cell], job.seed)) {
-              if (base_pass) {
-                ++report.jobs_skipped;
-                obs_resume_skips.add(1);
-              }
-              ++i;
-              continue;
-            }
-          }
           if (options.max_jobs != 0 && report.jobs_executed >= options.max_jobs) {
             capped = true;
             break;
@@ -245,16 +237,13 @@ OrchestratorReport run_orchestrated(const Expansion& expansion,
             ++report.escalation_jobs;
             obs_seeds_escalated.add(1);
           }
-          seeds.push_back(job.seed);
+          seeds.push_back(jobs[i].seed);
           ++i;
         }
         if (seeds.empty()) continue;
-        pool.submit([&expansion, &ck, &state_mu, &version, &warm, &arenas, &pool, &base,
-                     &obs_cells_done, &options, &capture_claims, cell_index,
-                     seeds = std::move(seeds)] {
-          const std::size_t w = static_cast<std::size_t>(pool.worker_index());
+        pool.submit([&expansion, &ck, &state_mu, &version, &base, &obs_cells_done, &options,
+                     &capture_claims, cell_index, seeds = std::move(seeds)] {
           run_cell_batch(expansion.cells[cell_index], seeds, expansion.options,
-                         &warm[cell_index], arenas[w].get(),
                          [&](std::size_t item, const RunResult& result) {
                            {
                              std::lock_guard lock(state_mu);
@@ -285,7 +274,7 @@ OrchestratorReport run_orchestrated(const Expansion& expansion,
       return !capped;
     };
 
-    report.complete = run_jobs(expansion.jobs, /*base_pass=*/true);
+    report.complete = run_jobs(base_jobs, /*base_pass=*/true);
     pool.wait_idle();
 
     if (report.complete && options.adaptive.enabled) {
@@ -321,6 +310,19 @@ OrchestratorReport run_orchestrated(const Expansion& expansion,
   obs_reg.gauge("campaign.threads").set(report.summary.threads);
   report.checkpoint = std::move(ck);
   return report;
+}
+
+CampaignSummary run_campaign(const Expansion& expansion, unsigned threads, std::size_t batch,
+                             const AnomalyCapture* capture) {
+  OrchestratorOptions options;
+  options.threads = threads;
+  options.batch = batch;
+  if (capture != nullptr) options.record_anomalies = *capture;
+  return run_orchestrated(expansion, options).summary;
+}
+
+CampaignSummary run_campaign(const Matrix& matrix, unsigned threads, std::size_t batch) {
+  return run_campaign(expand(matrix), threads, batch);
 }
 
 }  // namespace lumi::campaign

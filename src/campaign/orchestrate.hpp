@@ -1,5 +1,7 @@
 // Campaign orchestration: resumable, checkpointed, adaptively escalating
-// execution of an expansion (or a shard of one).
+// execution of an expansion (or a shard of one).  This is the only campaign
+// driver — run_campaign is run_orchestrated with no checkpoint and no
+// adaptive pass.
 //
 // Results funnel into a Checkpoint under one lock (job execution dominates,
 // so contention is negligible); an aggregation thread periodically snapshots

@@ -24,8 +24,7 @@ std::span<const Sym> Algorithm::symmetries() const {
   return chirality == Chirality::Common ? rotations() : all_symmetries();
 }
 
-Configuration Algorithm::initial_configuration(const Grid& grid,
-                                               std::pmr::memory_resource* mem) const {
+Configuration Algorithm::initial_configuration(const Grid& grid) const {
   if (grid.rows() < min_rows || grid.cols() < min_cols) {
     throw std::invalid_argument(name + ": grid " + grid.to_string() + " below minimum " +
                                 std::to_string(min_rows) + "x" + std::to_string(min_cols));
@@ -33,7 +32,7 @@ Configuration Algorithm::initial_configuration(const Grid& grid,
   std::vector<Robot> robots;
   robots.reserve(initial_robots.size());
   for (const auto& [pos, color] : initial_robots) robots.push_back(Robot{pos, color});
-  return Configuration(grid, std::move(robots), mem);
+  return Configuration(grid, std::move(robots));
 }
 
 std::vector<Color> Algorithm::reachable_colors() const {

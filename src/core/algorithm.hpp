@@ -38,10 +38,7 @@ struct Algorithm {
   /// chirality, 8 rotations+mirrors without.
   std::span<const Sym> symmetries() const;
 
-  /// `mem` (optional) backs the configuration's tables — see the
-  /// Configuration constructor; null selects the heap.
-  Configuration initial_configuration(const Grid& grid,
-                                      std::pmr::memory_resource* mem = nullptr) const;
+  Configuration initial_configuration(const Grid& grid) const;
 
   const Rule* find_rule(const std::string& label) const;
 

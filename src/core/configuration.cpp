@@ -6,14 +6,10 @@
 
 namespace lumi {
 
-Configuration::Configuration(Topology topo, std::vector<Robot> robots,
-                             std::pmr::memory_resource* mem)
+Configuration::Configuration(Topology topo, std::vector<Robot> robots)
     : grid_(std::move(topo)),
-      robots_(robots.begin(), robots.end(),
-              mem != nullptr ? mem : std::pmr::get_default_resource()),
-      occupancy_(static_cast<std::size_t>(grid_.num_nodes()),
-                 mem != nullptr ? mem : std::pmr::get_default_resource()),
-      journal_(mem != nullptr ? mem : std::pmr::get_default_resource()) {
+      robots_(std::move(robots)),
+      occupancy_(static_cast<std::size_t>(grid_.num_nodes())) {
   for (Robot& r : robots_) {
     const int idx = grid_.canonical_index(r.pos);
     if (idx < 0) throw std::invalid_argument("robot placed outside the grid");
@@ -21,16 +17,6 @@ Configuration::Configuration(Topology topo, std::vector<Robot> robots,
     occupancy_[static_cast<std::size_t>(idx)].add(r.color);
   }
 }
-
-Configuration::Configuration(const Configuration& other, std::pmr::memory_resource* mem)
-    : grid_(other.grid_),
-      robots_(other.robots_.begin(), other.robots_.end(),
-              mem != nullptr ? mem : std::pmr::get_default_resource()),
-      occupancy_(other.occupancy_.begin(), other.occupancy_.end(),
-                 mem != nullptr ? mem : std::pmr::get_default_resource()),
-      journal_enabled_(other.journal_enabled_),
-      journal_(other.journal_.begin(), other.journal_.end(),
-               mem != nullptr ? mem : std::pmr::get_default_resource()) {}
 
 void Configuration::move_robot(int i, Vec to) {
   Robot& r = robots_.at(static_cast<std::size_t>(i));

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory_resource>
 #include <span>
 #include <string>
 #include <utility>
@@ -49,20 +48,8 @@ class Configuration {
  public:
   /// Robots must sit on real nodes; on wrapped topologies out-of-box
   /// placements are canonicalized, on bounded ones they throw (the seed
-  /// Grid behavior).  `mem` (optional) backs the robot list, occupancy
-  /// array and journal — batched campaign workers pass a per-worker Arena
-  /// so run-local tables are pointer bumps instead of heap traffic; null
-  /// selects the global heap.  Copies always go to the default resource
-  /// (pmr copy semantics), so traces recorded from an arena-backed run are
-  /// safe to outlive it.
-  Configuration(Topology topo, std::vector<Robot> robots,
-                std::pmr::memory_resource* mem = nullptr);
-
-  /// Alloc-extended copy: a clone of `other` whose robot/occupancy/journal
-  /// tables live on `mem` (null = heap).  Skips placement validation and the
-  /// occupancy rebuild — the batch runner constructs a cell's initial
-  /// configuration once and stamps per-item arena-backed copies from it.
-  Configuration(const Configuration& other, std::pmr::memory_resource* mem);
+  /// Grid behavior).
+  Configuration(Topology topo, std::vector<Robot> robots);
 
   const Topology& topology() const { return grid_; }
   /// Historical spelling; the world has been a Topology since the topology
@@ -168,11 +155,11 @@ class Configuration {
 
  private:
   Topology grid_;
-  std::pmr::vector<Robot> robots_;
+  std::vector<Robot> robots_;
   /// Node-indexed color multisets, maintained incrementally.
-  std::pmr::vector<ColorMultiset> occupancy_;
+  std::vector<ColorMultiset> occupancy_;
   bool journal_enabled_ = false;
-  std::pmr::vector<int> journal_;
+  std::vector<int> journal_;
 };
 
 /// Convenience: builds a configuration from (node, colors...) placements.

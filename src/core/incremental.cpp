@@ -5,57 +5,22 @@
 
 namespace lumi {
 
-std::uint64_t indexed_placement_hash(const Configuration& config) {
-  // Unlike Configuration::canonical_hash, robots are mixed in *index* order:
-  // the warm-start table is indexed by robot, so a permutation of the same
-  // anonymous placement is a different identity here.
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](std::uint64_t x) {
-    h ^= x;
-    h *= 1099511628211ULL;
-  };
-  const Topology& topo = config.topology();
-  mix(static_cast<std::uint64_t>(topo.rows()));
-  mix(static_cast<std::uint64_t>(topo.cols()));
-  for (const char c : topo.spec()) mix(static_cast<unsigned char>(c));
-  for (const Robot& r : config.robots()) {
-    mix(static_cast<std::uint64_t>(topo.index(r.pos)));
-    mix(static_cast<std::uint64_t>(r.color));
-  }
-  return h;
-}
-
-DirtyTracker::DirtyTracker(std::shared_ptr<const CompiledAlgorithm> alg, Configuration& config,
-                           const TrackerWarmStart* warm, std::pmr::memory_resource* mem)
+DirtyTracker::DirtyTracker(std::shared_ptr<const CompiledAlgorithm> alg, Configuration& config)
     : alg_(std::move(alg)),
       config_(&config),
       actions_(static_cast<std::size_t>(config.num_robots())),
-      positions_(static_cast<std::size_t>(config.num_robots()),
-                 mem != nullptr ? mem : std::pmr::get_default_resource()),
-      head_(static_cast<std::size_t>(config.grid().num_nodes()), -1,
-            mem != nullptr ? mem : std::pmr::get_default_resource()),
-      next_(static_cast<std::size_t>(config.num_robots()), -1,
-            mem != nullptr ? mem : std::pmr::get_default_resource()),
-      dirty_(static_cast<std::size_t>(config.num_robots()), 0,
-             mem != nullptr ? mem : std::pmr::get_default_resource()) {
+      positions_(static_cast<std::size_t>(config.num_robots())),
+      head_(static_cast<std::size_t>(config.grid().num_nodes()), -1),
+      next_(static_cast<std::size_t>(config.num_robots()), -1),
+      dirty_(static_cast<std::size_t>(config.num_robots()), 0) {
   config.set_journal(true);
-  // A warm start replaces the initial full compute when it provably belongs
-  // to this configuration; anything else falls back to computing.
-  const bool warm_hit = warm != nullptr &&
-                        warm->actions.size() == actions_.size() &&
-                        warm->config_hash == indexed_placement_hash(config);
-  if (warm_hit) actions_ = warm->actions;
   for (int r = 0; r < config.num_robots(); ++r) {
     const Vec pos = config.robot(r).pos;
     positions_[static_cast<std::size_t>(r)] = pos;
     list_insert(config.grid().index(pos), r);
-    if (!warm_hit) recompute(r);
+    recompute(r);
   }
-  if (warm_hit) {
-    counters_.warm_reused += config.num_robots();
-  } else {
-    counters_.recomputed += config.num_robots();
-  }
+  counters_.recomputed += config.num_robots();
 }
 
 DirtyTracker::~DirtyTracker() { config_->set_journal(false); }

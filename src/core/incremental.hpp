@@ -13,8 +13,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <memory_resource>
-#include <mutex>
 #include <vector>
 
 #include "src/core/compiled.hpp"
@@ -22,67 +20,20 @@
 
 namespace lumi {
 
-/// The initial per-robot verdict table of one configuration, shareable
-/// across runs that start from the same placement: every seed of a campaign
-/// cell begins from the identical initial configuration, so the tracker's
-/// initial full compute can be done once per cell and reused by the rest.
-/// `config_hash` guards against mismatched reuse — a non-matching hash
-/// silently falls back to the full compute.  The hash covers the robots in
-/// *index* order (indexed_placement_hash), because the table is keyed by
-/// robot index: two configurations with permuted robots are the same
-/// anonymous placement but must not adopt each other's tables.
-struct TrackerWarmStart {
-  std::uint64_t config_hash = 0;
-  std::vector<std::vector<Action>> actions;
-};
-
-/// FNV-1a over the world shape and the index-ordered robot listing — the
-/// identity a TrackerWarmStart is valid for.
-std::uint64_t indexed_placement_hash(const Configuration& config);
-
-/// Thread-safe write-once slot the campaign layer keeps per cell: the first
-/// finisher publishes, later jobs of the cell read.  Results are identical
-/// with or without the warm start (the verdicts are a pure function of the
-/// initial configuration); only the reuse counters differ.
-class WarmStartSlot {
- public:
-  std::shared_ptr<const TrackerWarmStart> get() const {
-    std::lock_guard lock(mu_);
-    return value_;
-  }
-  void set(std::shared_ptr<const TrackerWarmStart> v) {
-    std::lock_guard lock(mu_);
-    if (!value_) value_ = std::move(v);
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::shared_ptr<const TrackerWarmStart> value_;
-};
-
 class DirtyTracker {
  public:
   /// How many per-robot verdicts each refresh() served from cache vs.
-  /// re-matched (the incremental-vs-recompute ratio the benches report),
-  /// plus verdicts adopted from a cross-run warm start at construction.
+  /// re-matched (the incremental-vs-recompute ratio the benches report).
   struct Counters {
     long reused = 0;
     long recomputed = 0;
-    long warm_reused = 0;
   };
 
   /// Attaches to `config` — enabling its change journal — and computes the
-  /// initial verdict of every robot (or adopts `warm`'s table when its hash
-  /// matches the configuration).  The configuration must outlive the
+  /// initial verdict of every robot.  The configuration must outlive the
   /// tracker, stay at the same address, and only be mutated through
   /// set_color/move_robot while attached (so every change is journaled).
-  /// `mem` (optional) backs the internal position/reverse-map/dirty tables —
-  /// batch workers pass their per-item Arena; null selects the heap.  The
-  /// verdict table itself stays on the heap: it is handed to schedulers and
-  /// exported as warm starts, both of which outlive a batch item.
-  DirtyTracker(std::shared_ptr<const CompiledAlgorithm> alg, Configuration& config,
-               const TrackerWarmStart* warm = nullptr,
-               std::pmr::memory_resource* mem = nullptr);
+  DirtyTracker(std::shared_ptr<const CompiledAlgorithm> alg, Configuration& config);
   ~DirtyTracker();
 
   DirtyTracker(const DirtyTracker&) = delete;
@@ -105,18 +56,6 @@ class DirtyTracker {
   bool any_enabled() const;
 
   const Counters& counters() const { return counters_; }
-  bool warm_started() const { return counters_.warm_reused > 0; }
-
-  /// Shareable copy of the current verdict table keyed by the current
-  /// configuration's indexed_placement_hash.  Meaningful right after
-  /// construction (before any mutation), which is when the campaign layer
-  /// publishes it for the cell's remaining jobs.
-  std::shared_ptr<const TrackerWarmStart> export_warm() const {
-    auto out = std::make_shared<TrackerWarmStart>();
-    out->config_hash = indexed_placement_hash(*config_);
-    out->actions = actions_;
-    return out;
-  }
 
  private:
   void recompute(int robot);
@@ -130,13 +69,13 @@ class DirtyTracker {
   std::shared_ptr<const CompiledAlgorithm> alg_;
   Configuration* config_;
   std::vector<std::vector<Action>> actions_;  ///< cached verdict per robot
-  std::pmr::vector<Vec> positions_;           ///< robot positions at last refresh
+  std::vector<Vec> positions_;                ///< robot positions at last refresh
   /// Node -> robots-there reverse map (per positions_) as intrusive singly
   /// linked lists: head_[node] is the first robot on the node (-1 = none),
   /// next_[robot] the next one.  Allocation-free to build and update.
-  std::pmr::vector<int> head_;
-  std::pmr::vector<int> next_;
-  std::pmr::vector<std::uint8_t> dirty_;  ///< per-refresh scratch
+  std::vector<int> head_;
+  std::vector<int> next_;
+  std::vector<std::uint8_t> dirty_;  ///< per-refresh scratch
   Snapshot scratch_;                 ///< shared inline snapshot buffer
   Counters counters_;
 };

@@ -5,26 +5,13 @@
 namespace lumi {
 
 AsyncEngine::AsyncEngine(const Algorithm& alg, Configuration initial, bool incremental,
-                         WarmStartSlot* warm,
-                         std::shared_ptr<const CompiledAlgorithm> precompiled,
-                         std::pmr::memory_resource* mem, const TrackerWarmStart* warm_adopt)
+                         std::shared_ptr<const CompiledAlgorithm> compiled)
     : alg_(&alg),
-      compiled_(precompiled != nullptr ? std::move(precompiled) : CompiledAlgorithm::get(alg)),
+      compiled_(compiled != nullptr ? std::move(compiled) : CompiledAlgorithm::get(alg)),
       config_(std::move(initial)),
       phases_(static_cast<std::size_t>(config_.num_robots()), Phase::Idle),
       pending_(static_cast<std::size_t>(config_.num_robots())) {
-  if (incremental) {
-    std::shared_ptr<const TrackerWarmStart> held;
-    const TrackerWarmStart* table = warm_adopt;
-    if (table == nullptr && warm != nullptr) {
-      held = warm->get();
-      table = held.get();
-    }
-    tracker_ = std::make_unique<DirtyTracker>(compiled_, config_, table, mem);
-    if (warm_adopt == nullptr && warm != nullptr && !tracker_->warm_started()) {
-      warm->set(tracker_->export_warm());
-    }
-  }
+  if (incremental) tracker_ = std::make_unique<DirtyTracker>(compiled_, config_);
 }
 
 const Action& AsyncEngine::pending(int robot) const {

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <memory>
-#include <memory_resource>
 #include <optional>
 #include <vector>
 
@@ -35,19 +34,11 @@ class AsyncEngine {
   /// the dirty tracker, re-matching only robots whose view covers a cell the
   /// last event changed — Look events change nothing, so two of every three
   /// events refresh for free.  Off = recompute-per-query reference path;
-  /// observable behavior is identical either way.  `warm` (optional, used
-  /// with `incremental`) is a per-cell cache of initial verdict tables: a
-  /// published table matching the initial configuration skips the tracker's
-  /// initial full compute; otherwise this engine publishes its own.
-  /// `precompiled` (optional) is a batch-hoisted compilation of `alg`;
-  /// `mem` (optional) backs the tracker's internal tables; `warm_adopt`
-  /// (optional) adopts a table directly, bypassing the slot — all pure perf,
-  /// see RunOptions.
+  /// observable behavior is identical either way.  `compiled` (optional) is
+  /// the compilation of `alg` a CellPlan already resolved; null = look it up
+  /// in the shared cache.
   explicit AsyncEngine(const Algorithm& alg, Configuration initial, bool incremental = true,
-                       WarmStartSlot* warm = nullptr,
-                       std::shared_ptr<const CompiledAlgorithm> precompiled = nullptr,
-                       std::pmr::memory_resource* mem = nullptr,
-                       const TrackerWarmStart* warm_adopt = nullptr);
+                       std::shared_ptr<const CompiledAlgorithm> compiled = nullptr);
 
   // The tracker holds a pointer into config_, so the engine must not move.
   AsyncEngine(const AsyncEngine&) = delete;

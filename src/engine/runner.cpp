@@ -35,40 +35,33 @@ std::string describe(const Algorithm& alg, const RobotAction& ra) {
 
 }  // namespace
 
+CellPlan::CellPlan(Algorithm algorithm, Topology topology)
+    : alg(std::move(algorithm)),
+      topo(std::move(topology)),
+      compiled(CompiledAlgorithm::get(alg)),
+      initial(alg.initial_configuration(topo)) {}
+
 RunResult run_sync(const Algorithm& alg, const Topology& topo, SyncScheduler& sched,
                    const RunOptions& opts) {
-  // Compile the matcher once per run (or adopt the batch-hoisted
-  // compilation); every instant reuses the shared tables.
-  const std::shared_ptr<const CompiledAlgorithm> compiled =
-      opts.precompiled != nullptr ? opts.precompiled : CompiledAlgorithm::get(alg);
-  Configuration config = opts.initial != nullptr
-                             ? Configuration(*opts.initial, opts.arena)
-                             : alg.initial_configuration(topo, opts.arena);
+  return run_sync(CellPlan(alg, topo), sched, opts);
+}
+
+RunResult run_sync(const CellPlan& plan, SyncScheduler& sched, const RunOptions& opts) {
+  const Algorithm& alg = plan.alg;
+  const Topology& topo = plan.topo;
+  const CompiledAlgorithm& compiled = *plan.compiled;
+  Configuration config = plan.initial;
   // With dirty tracking, each instant re-matches only the robots whose view
   // covers a cell the previous instant changed; everyone else keeps the
   // cached verdict.  `tracker` outlives the loop so verdicts carry across
   // instants.  (Declared after `config`: it holds a pointer into it.)
   std::optional<DirtyTracker> tracker;
-  if (opts.incremental) {
-    // Per-cell warm start: adopt the cached initial verdict table when one
-    // is published for this initial configuration; publish ours otherwise.
-    std::shared_ptr<const TrackerWarmStart> warm;
-    const TrackerWarmStart* table = opts.warm_adopt;
-    if (table == nullptr && opts.warm_start != nullptr) {
-      warm = opts.warm_start->get();
-      table = warm.get();
-    }
-    tracker.emplace(compiled, config, table, opts.arena);
-    if (opts.warm_adopt == nullptr && opts.warm_start != nullptr && !tracker->warm_started()) {
-      opts.warm_start->set(tracker->export_warm());
-    }
-  }
+  if (opts.incremental) tracker.emplace(plan.compiled, config);
   std::vector<std::vector<Action>> scratch;
   const auto copy_counters = [&](RunResult& r) {
     if (!tracker) return;
     r.stats.match_reused = tracker->counters().reused;
     r.stats.match_recomputed = tracker->counters().recomputed;
-    r.stats.match_warm_reused = tracker->counters().warm_reused;
   };
   RunResult result;
   result.visited.assign(static_cast<std::size_t>(topo.num_nodes()), false);
@@ -83,7 +76,7 @@ RunResult run_sync(const Algorithm& alg, const Topology& topo, SyncScheduler& sc
         tracker->refresh();
         return tracker->all_actions();
       }
-      scratch = all_enabled_actions(*compiled, config);
+      scratch = all_enabled_actions(compiled, config);
       return scratch;
     }();
     if (opts.require_unique_actions) {
@@ -148,11 +141,13 @@ RunResult run_sync(const Algorithm& alg, const Topology& topo, SyncScheduler& sc
 
 RunResult run_async(const Algorithm& alg, const Topology& topo, AsyncScheduler& sched,
                     const RunOptions& opts) {
-  AsyncEngine engine(alg,
-                     opts.initial != nullptr ? Configuration(*opts.initial, opts.arena)
-                                             : alg.initial_configuration(topo, opts.arena),
-                     opts.incremental, opts.warm_start, opts.precompiled, opts.arena,
-                     opts.warm_adopt);
+  return run_async(CellPlan(alg, topo), sched, opts);
+}
+
+RunResult run_async(const CellPlan& plan, AsyncScheduler& sched, const RunOptions& opts) {
+  const Algorithm& alg = plan.alg;
+  const Topology& topo = plan.topo;
+  AsyncEngine engine(alg, plan.initial, opts.incremental, plan.compiled);
   RunResult result;
   result.visited.assign(static_cast<std::size_t>(topo.num_nodes()), false);
   mark_visited(result.visited, topo, engine.config());
@@ -161,7 +156,6 @@ RunResult run_async(const Algorithm& alg, const Topology& topo, AsyncScheduler& 
   const auto copy_counters = [&engine](RunResult& r) {
     r.stats.match_reused = engine.match_counters().reused;
     r.stats.match_recomputed = engine.match_counters().recomputed;
-    r.stats.match_warm_reused = engine.match_counters().warm_reused;
   };
 
   for (long event = 0; event < opts.max_steps; ++event) {

@@ -6,12 +6,11 @@
 #pragma once
 
 #include <memory>
-#include <memory_resource>
 #include <string>
 #include <vector>
 
 #include "src/core/algorithm.hpp"
-#include "src/core/incremental.hpp"
+#include "src/core/compiled.hpp"
 #include "src/sched/async_schedulers.hpp"
 #include "src/sched/sync_schedulers.hpp"
 #include "src/trace/trace.hpp"
@@ -22,6 +21,8 @@ namespace obs {
 class Recorder;  // src/obs/recorder.hpp
 }
 
+/// Per-run knobs: the budget and verifier (result-bearing), the observers
+/// (trace, recorder), and the dirty-tracking switch.
 struct RunOptions {
   long max_steps = 1'000'000;        ///< instants (sync) or events (async)
   bool record_trace = false;
@@ -33,31 +34,6 @@ struct RunOptions {
   /// Results are identical either way (pinned by tests/test_incremental.cpp);
   /// off is the recompute-everything reference path.
   bool incremental = true;
-  /// Optional cross-run verdict cache (campaigns pass the cell's slot): the
-  /// first run publishes the initial verdict table, later runs of the same
-  /// initial configuration skip the tracker's initial full compute.  Pure
-  /// perf — results are identical; not part of checkpoint fingerprints.
-  WarmStartSlot* warm_start = nullptr;
-  /// Optional directly-adopted warm start, taking precedence over
-  /// `warm_start`: the batch runner fetches the cell's published table once
-  /// and hands every later item the raw pointer, skipping the slot's mutex
-  /// and shared_ptr traffic per item (and the publish-back attempt — the
-  /// table is already published).  Must outlive the run; the tracker's hash
-  /// check still guards adoption.  Pure perf.
-  const TrackerWarmStart* warm_adopt = nullptr;
-  /// Optional pre-resolved compilation of the algorithm being run (the
-  /// batch runner hoists CompiledAlgorithm::get out of the per-item loop).
-  /// Must come from an algorithm with identical matching semantics; null =
-  /// resolve through the shared cache per run.  Pure perf.
-  std::shared_ptr<const CompiledAlgorithm> precompiled;
-  /// Optional pre-built initial configuration (the batch runner hoists
-  /// Algorithm::initial_configuration out of the per-item loop): the run
-  /// starts from an alloc-extended copy of it instead of rebuilding —
-  /// validation, canonicalization and the occupancy build happen once per
-  /// batch.  Must be exactly initial_configuration(topo) for the algorithm
-  /// and topology being run, and must outlive the run.  Null = build per
-  /// run.  Pure perf.
-  const Configuration* initial = nullptr;
   /// Optional flight recorder (src/obs/recorder.hpp): when non-null, the
   /// engines feed it per-instant structured events and the configuration
   /// entering each instant.  Strictly an observer — attaching one never
@@ -65,13 +41,6 @@ struct RunOptions {
   /// tests/test_obs_identity.cpp); null (the default) costs one pointer test
   /// per instant, gated at 3% by bench_campaign.
   obs::Recorder* recorder = nullptr;
-  /// Optional run-scratch memory resource (batched campaigns pass the
-  /// worker's Arena): backs the configuration's robot/occupancy/journal
-  /// tables and the tracker's internal maps for the duration of the run.
-  /// The caller owns it and may only reset it after the RunResult has been
-  /// consumed into longer-lived storage (traces copy out on record, so the
-  /// result itself never points into the arena).  Null = global heap.
-  std::pmr::memory_resource* arena = nullptr;
 };
 
 struct RunStats {
@@ -80,12 +49,10 @@ struct RunStats {
   long moves = 0;
   long color_changes = 0;  ///< cycles whose new color differs from the old
   /// Incremental-engine counters (zero on the recompute path): per-robot
-  /// match verdicts served from the dirty-tracker cache vs. re-matched,
-  /// plus verdicts adopted from a per-cell warm start at construction.
+  /// match verdicts served from the dirty-tracker cache vs. re-matched.
   /// Diagnostics only — campaign accumulators and checkpoints ignore them.
   long match_reused = 0;
   long match_recomputed = 0;
-  long match_warm_reused = 0;
 };
 
 struct RunResult {
@@ -104,11 +71,27 @@ struct RunResult {
   }
 };
 
+/// Everything a run needs that depends only on the algorithm and the
+/// topology: the compiled matcher tables and the validated initial
+/// configuration.  A campaign builds one per batch and shares it across the
+/// batch's seeds; runs start from a copy of `initial`.  Throws what
+/// CompiledAlgorithm::get and Algorithm::initial_configuration throw.
+struct CellPlan {
+  CellPlan(Algorithm algorithm, Topology topology);
+
+  Algorithm alg;
+  Topology topo;
+  std::shared_ptr<const CompiledAlgorithm> compiled;
+  Configuration initial;
+};
+
 /// Runs under FSYNC/SSYNC semantics (full atomic cycles per instant).
+RunResult run_sync(const CellPlan& plan, SyncScheduler& sched, const RunOptions& opts = {});
 RunResult run_sync(const Algorithm& alg, const Topology& topo, SyncScheduler& sched,
                    const RunOptions& opts = {});
 
 /// Runs under ASYNC semantics (interleaved Look/Compute/Move events).
+RunResult run_async(const CellPlan& plan, AsyncScheduler& sched, const RunOptions& opts = {});
 RunResult run_async(const Algorithm& alg, const Topology& topo, AsyncScheduler& sched,
                     const RunOptions& opts = {});
 

@@ -1,7 +1,7 @@
 // Batched micro-runs: grouping consecutive same-cell jobs into one worker
-// task (with hoisted setup and arena-backed run scratch) is a pure perf
-// change — CSV and JSON reports must be byte-identical across batch sizes
-// {1, 4, 16} x thread counts, through the orchestrated path, and through a
+// task that builds the cell's plan once is a pure perf change — CSV and
+// JSON reports must be byte-identical across batch sizes {1, 4, 16} x
+// thread counts, through the orchestrated path, and through a
 // kill-and-resume whose legs use different batch sizes.
 #include "src/campaign/campaign.hpp"
 
@@ -129,9 +129,8 @@ TEST(Batching, BatchRunnerMatchesPerJobResults) {
   const Cell cell{"4.3.1", 4, 4, SchedKind::SsyncRandom, "grid"};
   const RunOptions options;
   const std::vector<unsigned> seeds = {3, 1, 9, 9, 2};
-  Arena arena;
   std::size_t delivered = 0;
-  run_cell_batch(cell, seeds, options, nullptr, &arena,
+  run_cell_batch(cell, seeds, options,
                  [&](std::size_t item, const RunResult& result) {
                    ASSERT_EQ(item, delivered);
                    ++delivered;
@@ -144,14 +143,13 @@ TEST(Batching, BatchRunnerMatchesPerJobResults) {
                    EXPECT_EQ(result.visited, expected.visited) << item;
                  });
   EXPECT_EQ(delivered, seeds.size());
-  EXPECT_GT(arena.high_water(), 0u);  // the runs actually lived on the arena
 }
 
 TEST(Batching, SetupFailureIsReportedOnEveryItem) {
   const Cell bad{"no.such.section", 4, 4, SchedKind::Fsync, "grid"};
   const std::vector<unsigned> seeds = {1, 2, 3};
   std::size_t delivered = 0;
-  run_cell_batch(bad, seeds, RunOptions{}, nullptr, nullptr,
+  run_cell_batch(bad, seeds, RunOptions{},
                  [&](std::size_t, const RunResult& result) {
                    ++delivered;
                    EXPECT_FALSE(result.failure.empty());

@@ -62,7 +62,7 @@ obs::Recording record_run(const Algorithm& alg, const std::string& section,
   RunOptions opts;
   opts.max_steps = max_steps;
   opts.recorder = &rec;
-  const RunResult result = run_with_sched(alg, topo, sched, seed, opts);
+  const RunResult result = run_with_sched(CellPlan(alg, topo), sched, seed, opts);
   return obs::make_recording(rec, result);
 }
 

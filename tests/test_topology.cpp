@@ -2,8 +2,8 @@
 // obstacle wall masks, the seeded mask generator's properties (connectivity,
 // determinism, rejection of disconnected masks), spec round-trips, the
 // plain-grid-through-Topology differential, and the campaign-level contract
-// (expansion axis, checkpoint round-trip, shard/merge byte-identity, warm
-// start identity).
+// (expansion axis, checkpoint round-trip, shard/merge byte-identity, shared
+// cell-plan identity).
 #include "src/topo/topology.hpp"
 
 #include <gtest/gtest.h>
@@ -388,45 +388,28 @@ TEST(TopologyCampaign, ShardMergeByteIdentityAcrossTopologies) {
   EXPECT_EQ(campaign_json(campaign::checkpoint_summary(merged)), want_json);
 }
 
-TEST(TopologyCampaign, WarmStartHashDistinguishesPermutedRobots) {
-  // The warm-start table is keyed by robot index, so two configurations
-  // holding the same anonymous placement with permuted robot indices are the
-  // same placement (equal canonical hashes) but different warm identities —
-  // adopting across them would hand robot i robot j's verdicts.
-  const Grid g(3, 4);
-  Configuration a(g, {Robot{{0, 0}, Color::G}, Robot{{0, 1}, Color::W}});
-  Configuration b(g, {Robot{{0, 1}, Color::W}, Robot{{0, 0}, Color::G}});
-  EXPECT_EQ(a.canonical_hash(), b.canonical_hash());
-  EXPECT_NE(indexed_placement_hash(a), indexed_placement_hash(b));
-  EXPECT_EQ(indexed_placement_hash(a), indexed_placement_hash(a));
-}
-
-TEST(TopologyCampaign, WarmStartDoesNotChangeResultsAndCountsReuse) {
-  const campaign::Cell cell{"4.3.1", 5, 6, campaign::SchedKind::SsyncRandom};
-  RunOptions opts;
-  WarmStartSlot slot;
-  const RunResult cold1 = campaign::run_cell(cell, 1, opts);
-  const RunResult cold2 = campaign::run_cell(cell, 2, opts);
-  const RunResult warm1 = campaign::run_cell(cell, 1, opts, &slot);  // publishes
-  const RunResult warm2 = campaign::run_cell(cell, 2, opts, &slot);  // adopts
-  EXPECT_EQ(warm1.stats.match_warm_reused, 0);
-  EXPECT_GT(warm2.stats.match_warm_reused, 0);
-  // Identical results either way; only the diagnostics counters differ.
-  EXPECT_EQ(cold1.visited, warm1.visited);
-  EXPECT_EQ(cold2.visited, warm2.visited);
-  EXPECT_EQ(cold1.stats.instants, warm1.stats.instants);
-  EXPECT_EQ(cold2.stats.instants, warm2.stats.instants);
-  EXPECT_EQ(cold2.stats.moves, warm2.stats.moves);
-  EXPECT_EQ(cold2.terminated, warm2.terminated);
-  // An async cell exercises the AsyncEngine warm path too.
-  const campaign::Cell acell{"4.3.5", 4, 5, campaign::SchedKind::AsyncRandom};
-  WarmStartSlot aslot;
-  const RunResult acold = campaign::run_cell(acell, 3, opts);
-  (void)campaign::run_cell(acell, 1, opts, &aslot);
-  const RunResult awarm = campaign::run_cell(acell, 3, opts, &aslot);
-  EXPECT_GT(awarm.stats.match_warm_reused, 0);
-  EXPECT_EQ(acold.visited, awarm.visited);
-  EXPECT_EQ(acold.stats.instants, awarm.stats.instants);
+TEST(TopologyCampaign, SharedCellPlanDoesNotChangeResults) {
+  // Every seed of a batch runs from one CellPlan; each run must equal a run
+  // from a freshly built plan, on a walled topology and under both engines.
+  for (const campaign::Cell& cell :
+       {campaign::Cell{"4.3.1", 5, 6, campaign::SchedKind::SsyncRandom, "holes"},
+        campaign::Cell{"4.3.5", 4, 5, campaign::SchedKind::AsyncRandom, "torus"}}) {
+    RunOptions opts;
+    opts.max_steps = 2'000;
+    const CellPlan shared = campaign::plan_cell(cell);
+    for (const unsigned seed : {1u, 2u, 3u}) {
+      const RunResult fresh = campaign::run_cell(cell, seed, opts);
+      const RunResult reused = campaign::run_with_sched(shared, cell.sched, seed, opts);
+      EXPECT_EQ(fresh.visited, reused.visited) << campaign::to_string(cell) << " " << seed;
+      EXPECT_EQ(fresh.stats.instants, reused.stats.instants);
+      EXPECT_EQ(fresh.stats.moves, reused.stats.moves);
+      EXPECT_EQ(fresh.stats.match_reused, reused.stats.match_reused);
+      EXPECT_EQ(fresh.terminated, reused.terminated);
+      EXPECT_EQ(fresh.failure, reused.failure);
+    }
+    // Runs copy the plan's initial configuration; they never mutate it.
+    EXPECT_TRUE(shared.initial.same_placement(shared.alg.initial_configuration(shared.topo)));
+  }
 }
 
 }  // namespace
