@@ -110,11 +110,4 @@ void CellAccumulator::merge(const CellAccumulator& other) {
   visited.merge(other.visited);
 }
 
-void CampaignAccumulator::merge(const CampaignAccumulator& other) {
-  if (other.cells_.size() != cells_.size()) {
-    throw std::invalid_argument("CampaignAccumulator::merge: cell count mismatch");
-  }
-  for (std::size_t i = 0; i < cells_.size(); ++i) cells_[i].merge(other.cells_[i]);
-}
-
 }  // namespace lumi::campaign

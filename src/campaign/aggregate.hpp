@@ -8,9 +8,7 @@
 #pragma once
 
 #include <array>
-#include <cstddef>
 #include <string>
-#include <vector>
 
 #include "src/engine/runner.hpp"
 
@@ -71,21 +69,6 @@ struct CellAccumulator {
   }
 
   friend bool operator==(const CellAccumulator&, const CellAccumulator&) = default;
-};
-
-/// A dense cell vector indexed by the job's cell id; merging two of them is
-/// exact and order-independent, like every accumulator here.
-class CampaignAccumulator {
- public:
-  explicit CampaignAccumulator(std::size_t num_cells) : cells_(num_cells) {}
-
-  void add(std::size_t cell, const RunResult& result) { cells_.at(cell).add(result); }
-  void merge(const CampaignAccumulator& other);
-
-  const std::vector<CellAccumulator>& cells() const { return cells_; }
-
- private:
-  std::vector<CellAccumulator> cells_;
 };
 
 }  // namespace lumi::campaign

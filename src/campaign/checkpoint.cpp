@@ -1,10 +1,12 @@
 #include "src/campaign/checkpoint.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 namespace lumi::campaign {
 
@@ -80,6 +82,27 @@ void serialize_stat(std::ostringstream& out, const char* name, const LongStat& s
 
 [[noreturn]] void fail(std::size_t line, const std::string& what) {
   throw std::runtime_error("checkpoint: line " + std::to_string(line) + ": " + what);
+}
+
+/// Reads a record count: decimal digits only, so "-1" cannot wrap to
+/// SIZE_MAX.  A count only frames the records that follow and never sizes
+/// an allocation: containers grow as records parse, so an oversized count
+/// fails at the first missing record.
+bool read_count(std::istringstream& ls, std::size_t& n) {
+  std::string tok;
+  if (!(ls >> tok)) return false;
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, n);
+  return ec == std::errc{} && ptr == end;
+}
+
+/// Exactly 16 hex digits, as checkpoint_serialize prints the fingerprint.
+bool read_fingerprint(std::istringstream& ls, std::uint64_t& fp) {
+  std::string hex;
+  if (!(ls >> hex) || hex.size() != 16) return false;
+  const char* end = hex.data() + hex.size();
+  const auto [ptr, ec] = std::from_chars(hex.data(), end, fp, 16);
+  return ec == std::errc{} && ptr == end;
 }
 
 }  // namespace
@@ -173,17 +196,14 @@ Checkpoint checkpoint_parse(const std::string& text) {
   {
     std::istringstream ls = next_line();
     expect_keyword(ls, "fingerprint");
-    std::string hex;
-    if (!(ls >> hex) || hex.size() != 16) fail(lineno, "bad fingerprint");
-    out.fingerprint = std::strtoull(hex.c_str(), nullptr, 16);
+    if (!read_fingerprint(ls, out.fingerprint)) fail(lineno, "bad fingerprint");
   }
   std::size_t num_cells = 0;
   {
     std::istringstream ls = next_line();
     expect_keyword(ls, "cells");
-    if (!(ls >> num_cells)) fail(lineno, "bad cell count");
+    if (!read_count(ls, num_cells)) fail(lineno, "bad cell count");
   }
-  out.cells.reserve(num_cells);
   for (std::size_t i = 0; i < num_cells; ++i) {
     CheckpointCell c;
     {
@@ -225,10 +245,11 @@ Checkpoint checkpoint_parse(const std::string& text) {
       std::istringstream ls = next_line();
       expect_keyword(ls, "seeds");
       std::size_t k = 0;
-      if (!(ls >> k)) fail(lineno, "bad seed count");
-      c.seeds_done.resize(k);
-      for (unsigned& seed : c.seeds_done) {
+      if (!read_count(ls, k)) fail(lineno, "bad seed count");
+      for (std::size_t s = 0; s < k; ++s) {
+        unsigned seed = 0;
         if (!(ls >> seed)) fail(lineno, "bad seed list");
+        c.seeds_done.push_back(seed);
       }
       for (std::size_t s = 1; s < c.seeds_done.size(); ++s) {
         if (c.seeds_done[s - 1] >= c.seeds_done[s]) fail(lineno, "seeds not strictly ascending");

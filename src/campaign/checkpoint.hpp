@@ -44,9 +44,10 @@ std::uint64_t expansion_fingerprint(const Expansion& expansion);
 /// Fresh checkpoint for the expansion: every cell present, zero runs.
 Checkpoint make_checkpoint(const Expansion& expansion);
 
-/// Canonical v1 text rendering.
+/// Canonical v2 text rendering.
 std::string checkpoint_serialize(const Checkpoint& checkpoint);
-/// Parses a v1 rendering; throws std::runtime_error on malformed input.
+/// Parses a v2 rendering; throws std::runtime_error naming the line on
+/// malformed input.
 Checkpoint checkpoint_parse(const std::string& text);
 
 /// Serializes to `path + ".tmp"` then atomically renames over `path`, so a

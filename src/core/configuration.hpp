@@ -116,7 +116,7 @@ class Configuration {
   /// dispatch.  Precondition: topology().plain().  The snapshot loop — the
   /// innermost code of the simulator — branches on plain() once and calls
   /// this per cell, so plain grids pay nothing for the topology abstraction
-  /// (bench_campaign gates this at 20%).
+  /// (perfbench's core.snapshot_ns measures that loop).
   CellContent cell_plain(Vec v) const {
     if (v.row < 0 || v.row >= grid_.rows() || v.col < 0 || v.col >= grid_.cols()) {
       return CellContent{.wall = true, .robots = {}};

@@ -74,12 +74,11 @@ Vec parse_position(const std::string& s, int line) {
   if (s.size() < 5 || s.front() != '(' || s.back() != ')') fail(line, "bad position '" + s + "'");
   const std::string inner = s.substr(1, s.size() - 2);
   const std::size_t comma = inner.find(',');
-  if (comma == std::string::npos) fail(line, "bad position '" + s + "'");
-  try {
-    return Vec{std::stoi(inner.substr(0, comma)), std::stoi(inner.substr(comma + 1))};
-  } catch (const std::exception&) {
+  if (comma == std::string::npos || inner.find(',', comma + 1) != std::string::npos) {
     fail(line, "bad position '" + s + "'");
   }
+  return Vec{parse_int(inner.substr(0, comma), line, "position row"),
+             parse_int(inner.substr(comma + 1), line, "position col")};
 }
 
 void parse_rule(const std::vector<std::string>& tokens, int line, Algorithm& alg) {

@@ -39,7 +39,7 @@ struct RunOptions {
   /// entering each instant.  Strictly an observer — attaching one never
   /// changes control flow, results or stats (pinned by
   /// tests/test_obs_identity.cpp); null (the default) costs one pointer test
-  /// per instant, gated at 3% by bench_campaign.
+  /// per instant, paid inside every perfbench end-to-end number.
   obs::Recorder* recorder = nullptr;
 };
 

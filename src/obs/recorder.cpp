@@ -1,9 +1,11 @@
 #include "src/obs/recorder.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
 #include <utility>
 
 #include "src/engine/runner.hpp"
@@ -76,7 +78,8 @@ std::optional<Dir> move_from_char(char c) {
   }
 }
 
-/// Line-oriented reader with keyword-anchored parse errors.
+/// Line-oriented reader with keyword-anchored parse errors.  Errors carry no
+/// line number: recording_parse prefixes the current one to every error.
 class Reader {
  public:
   explicit Reader(const std::string& text) : in_(text) {}
@@ -90,8 +93,7 @@ class Reader {
         line[key.size()] == ' ') {
       return line.substr(key.size() + 1);
     }
-    throw std::runtime_error("lumirec line " + std::to_string(lineno_) + ": expected '" +
-                             key + " ...', got '" + line + "'");
+    throw std::runtime_error("expected '" + key + " ...', got '" + line + "'");
   }
 
   /// Peeks whether the next line starts with `key`.
@@ -119,7 +121,7 @@ class Reader {
     }
     std::string line;
     if (!std::getline(in_, line)) {
-      throw std::runtime_error("lumirec: unexpected end of file, wanted '" + wanted + "'");
+      throw std::runtime_error("unexpected end of file, wanted '" + wanted + "'");
     }
     if (!line.empty() && line.back() == '\r') line.pop_back();
     return line;
@@ -145,8 +147,8 @@ std::vector<std::string> fields(const std::string& rest, std::size_t n, const ch
     start = space + 1;
   }
   if (out.size() != n) {
-    throw std::runtime_error(std::string("lumirec: '") + what + "' wants " +
-                             std::to_string(n) + " fields, got " + std::to_string(out.size()));
+    throw std::runtime_error(std::string("'") + what + "' wants " + std::to_string(n) +
+                             " fields, got " + std::to_string(out.size()));
   }
   return out;
 }
@@ -158,19 +160,39 @@ long long to_ll(const std::string& s, const char* what) {
     if (used != s.size()) throw std::invalid_argument(s);
     return v;
   } catch (const std::exception&) {
-    throw std::runtime_error(std::string("lumirec: bad integer '") + s + "' in " + what);
+    throw std::runtime_error(std::string("bad integer '") + s + "' in " + what);
   }
+}
+
+/// A record count.  It only frames the records that follow and never sizes
+/// an allocation: vectors grow as records parse, so an oversized count fails
+/// at the first missing record.
+long long to_count(const std::string& s, const char* what) {
+  const long long n = to_ll(s, what);
+  if (n < 0) throw std::runtime_error(std::string("negative count '") + s + "' in " + what);
+  return n;
+}
+
+/// Exactly 16 hex digits, as recording_serialize prints a hash.
+std::uint64_t to_hash(const std::string& s, const char* what) {
+  std::uint64_t h = 0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, h, 16);
+  if (s.size() != 16 || ec != std::errc{} || ptr != end) {
+    throw std::runtime_error(std::string("'") + s + "' in " + what + " is not 16 hex digits");
+  }
+  return h;
 }
 
 bool to_bool(const std::string& s, const char* what) {
   if (s == "0") return false;
   if (s == "1") return true;
-  throw std::runtime_error(std::string("lumirec: bad flag '") + s + "' in " + what);
+  throw std::runtime_error(std::string("bad flag '") + s + "' in " + what);
 }
 
 char single_char(const std::string& s, const char* what) {
   if (s.size() != 1) {
-    throw std::runtime_error(std::string("lumirec: '") + s + "' in " + what +
+    throw std::runtime_error(std::string("'") + s + "' in " + what +
                              " is not a single character");
   }
   return s[0];
@@ -185,11 +207,10 @@ void serialize_robots(std::ostringstream& out, const std::vector<Robot>& robots)
 
 std::vector<Robot> parse_robots(Reader& in, long long n, const char* what) {
   std::vector<Robot> robots;
-  robots.reserve(static_cast<std::size_t>(n));
   for (long long i = 0; i < n; ++i) {
     const auto f = fields(in.expect("robot"), 4, "robot");
     if (to_ll(f[0], what) != i) {
-      throw std::runtime_error(std::string("lumirec: ") + what + " robots out of order");
+      throw std::runtime_error(std::string(what) + " robots out of order");
     }
     robots.push_back(Robot{.pos = {static_cast<int>(to_ll(f[1], what)),
                                    static_cast<int>(to_ll(f[2], what))},
@@ -222,7 +243,6 @@ Recorder::Recorder() : Recorder(Options{}) {}
 
 Recorder::Recorder(Options options) : options_(options) {
   if (options_.capacity == 0) options_.capacity = 1;
-  ring_.reserve(options_.capacity);
 }
 
 void Recorder::begin_run(const Configuration& initial) {
@@ -405,15 +425,17 @@ std::string recording_serialize(const Recording& rec) {
   return out.str();
 }
 
-Recording recording_parse(const std::string& text) {
-  Reader in(text);
+namespace {
+
+Recording parse_recording(Reader& in) {
   Recording rec;
   rec.version = static_cast<int>(to_ll(in.expect("lumirec"), "lumirec"));
   if (rec.version != 1) {
     throw std::runtime_error("unsupported lumirec version " + std::to_string(rec.version));
   }
-  rec.options.capacity = static_cast<std::size_t>(to_ll(in.expect("capacity"), "capacity"));
-  if (rec.options.capacity == 0) throw std::runtime_error("lumirec: capacity must be >= 1");
+  const long long capacity = to_ll(in.expect("capacity"), "capacity");
+  if (capacity < 1) throw std::runtime_error("capacity must be >= 1");
+  rec.options.capacity = static_cast<std::size_t>(capacity);
   rec.options.detect_cycles = to_bool(in.expect("detect-cycles"), "detect-cycles");
   rec.prov.section = decode_token(in.expect("section"));
   {
@@ -430,7 +452,7 @@ Recording recording_parse(const std::string& text) {
   rec.prov.max_steps = static_cast<long>(to_ll(in.expect("max-steps"), "max-steps"));
   rec.prov.require_unique_actions = to_bool(in.expect("unique-actions"), "unique-actions");
   {
-    const long long n = to_ll(in.expect("algorithm"), "algorithm");
+    const long long n = to_count(in.expect("algorithm"), "algorithm");
     std::string text_out;
     for (long long i = 0; i < n; ++i) {
       text_out += in.raw_line();
@@ -438,19 +460,18 @@ Recording recording_parse(const std::string& text) {
     }
     rec.prov.algorithm_text = std::move(text_out);
   }
-  rec.initial = parse_robots(in, to_ll(in.expect("init"), "init"), "init");
+  rec.initial = parse_robots(in, to_count(in.expect("init"), "init"), "init");
   rec.diagnosis = diagnosis_from_name(in.expect("diagnosis"));
   if (in.peek_is("cycle")) {
     const auto f = fields(in.expect("cycle"), 3, "cycle");
     Recorder::CycleWitness w;
     w.start = static_cast<long>(to_ll(f[0], "cycle"));
     w.length = static_cast<long>(to_ll(f[1], "cycle"));
-    w.hash = std::stoull(f[2], nullptr, 16);
+    w.hash = to_hash(f[2], "cycle");
     rec.cycle = w;
   }
-  rec.events_seen = to_ll(in.expect("events-seen"), "events-seen");
-  const long long kept = to_ll(in.expect("events"), "events");
-  rec.events.reserve(static_cast<std::size_t>(kept));
+  rec.events_seen = to_count(in.expect("events-seen"), "events-seen");
+  const long long kept = to_count(in.expect("events"), "events");
   for (long long i = 0; i < kept; ++i) {
     const auto f = fields(in.expect("ev"), 9, "ev");
     RecordedEvent ev;
@@ -483,14 +504,33 @@ Recording recording_parse(const std::string& text) {
       rec.failure.clear();
     } else if (rest.starts_with("err ")) {
       rec.failure = decode_token(rest.substr(4));
-      if (rec.failure.empty()) throw std::runtime_error("lumirec: empty 'failure err'");
+      if (rec.failure.empty()) throw std::runtime_error("empty 'failure err'");
     } else {
-      throw std::runtime_error("lumirec: bad failure line '" + rest + "'");
+      throw std::runtime_error("bad failure line '" + rest + "'");
     }
   }
-  rec.final_robots = parse_robots(in, to_ll(in.expect("final"), "final"), "final");
-  if (!in.expect("end").empty()) throw std::runtime_error("lumirec: malformed end marker");
+  rec.final_robots = parse_robots(in, to_count(in.expect("final"), "final"), "final");
+  if (!in.expect("end").empty()) throw std::runtime_error("malformed end marker");
   return rec;
+}
+
+}  // namespace
+
+Recording recording_parse(const std::string& text) {
+  Reader in(text);
+  // The name parsers shared with other callers (event kinds, diagnoses,
+  // color letters) throw std::invalid_argument; both kinds leave as the
+  // documented std::runtime_error naming the line.
+  const auto at_line = [&in](const std::exception& e) {
+    return std::runtime_error("lumirec line " + std::to_string(in.lineno()) + ": " + e.what());
+  };
+  try {
+    return parse_recording(in);
+  } catch (const std::invalid_argument& e) {
+    throw at_line(e);
+  } catch (const std::runtime_error& e) {
+    throw at_line(e);
+  }
 }
 
 bool recording_write(const std::string& path, const Recording& rec) {

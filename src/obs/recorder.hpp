@@ -11,8 +11,8 @@
 //    recorder symbols out of the report/checkpoint serializers.
 //  - Near-zero when off: a run without a recorder pays one pointer test per
 //    instant (RunOptions::recorder is null by default — the same default-off
-//    discipline as the metrics registry).  bench_campaign gates the off-path
-//    overhead at 3%.
+//    discipline as the metrics registry).  Every perfbench end-to-end number
+//    runs recorder-off, so it includes that test.
 //  - Bounded: the ring keeps the newest `capacity` events (the tail is what
 //    explains an anomaly); `events_seen()` still counts everything.
 //
@@ -87,6 +87,8 @@ class Recorder {
  public:
   struct Options {
     /// Ring slots: the newest `capacity` events survive (clamped to >= 1).
+    /// A bound, not an allocation: the ring grows as events arrive, so a
+    /// recording file may name any capacity.
     std::size_t capacity = 4096;
     /// Track a seen-hash map of instant-boundary configurations and record
     /// the first canonical_hash recurrence.  Only a *proof* of

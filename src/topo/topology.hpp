@@ -128,8 +128,8 @@ class Topology {
   /// or -1 when `v` is off-world (outside a non-wrapped axis) or a wall.
   /// The plain family takes the seed Grid's exact bounds-check + row-major
   /// index behind one precomputed flag — the snapshot hot path must not pay
-  /// for wraparound or wall masks it doesn't have (bench_campaign gates the
-  /// overhead at 20%).
+  /// for wraparound or wall masks it doesn't have (perfbench's
+  /// core.snapshot_ns measures that path).
   int canonical_index(Vec v) const {
     if (plain_) {
       return v.row >= 0 && v.row < rows_ && v.col >= 0 && v.col < cols_

@@ -142,11 +142,6 @@ TEST(Aggregate, PercentilesAgreeAcrossMergeSplits) {
   EXPECT_EQ(merged.sum_squares, all.sum_squares);
 }
 
-TEST(Aggregate, MergeRequiresMatchingCellCounts) {
-  CampaignAccumulator a(2), b(3);
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
-}
-
 // --- scheduler taxonomy -----------------------------------------------------
 
 TEST(SchedKindTaxonomy, NamesRoundTrip) {

@@ -100,6 +100,37 @@ TEST(Checkpoint, MalformedInputsThrow) {
   std::string wrong_version = good;
   wrong_version.replace(wrong_version.find(" v2"), 3, " v9");
   EXPECT_THROW(checkpoint_parse(wrong_version), std::runtime_error);
+
+  // Hostile framing in an otherwise valid checkpoint: negative or oversized
+  // counts, and fingerprints that are not exactly 16 hex digits.
+  const auto expect_rejected = [](const std::string& text) {
+    try {
+      (void)checkpoint_parse(text);
+      ADD_FAILURE() << "accepted:\n" << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line "), std::string::npos) << e.what();
+    }
+  };
+  const auto swap_line = [&good](const std::string& from, const std::string& to) {
+    std::string text = good;
+    const std::size_t at = text.find("\n" + from + "\n");
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) text.replace(at + 1, from.size(), to);
+    return text;
+  };
+  const std::string cells = "cells " + std::to_string(e.cells.size());
+  for (const std::string bad : {"-1", "1000000000000"}) {
+    expect_rejected(swap_line(cells, "cells " + bad));
+    expect_rejected(swap_line("seeds 0", "seeds " + bad));
+  }
+  char fingerprint[17];
+  std::snprintf(fingerprint, sizeof fingerprint, "%016llx",
+                static_cast<unsigned long long>(expansion_fingerprint(e)));
+  const std::string fp = fingerprint;
+  for (const std::string& bad : {fp.substr(0, 14) + "zz", "0x" + fp.substr(0, 14),
+                                 "-" + fp.substr(0, 15), fp + "0"}) {
+    expect_rejected(swap_line("fingerprint " + fp, "fingerprint " + bad));
+  }
 }
 
 TEST(Checkpoint, NonHexEscapesAreRejected) {

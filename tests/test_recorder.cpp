@@ -170,6 +170,12 @@ TEST(RecorderRing, KeepsNewestEventsOldestFirst) {
   // The surviving tail is exactly the newest 8 events, in order.
   const std::vector<obs::RecordedEvent> want(full.events.end() - 8, full.events.end());
   EXPECT_EQ(capped.events, want);
+
+  // A capacity is a bound, never an up-front allocation: a file may name
+  // any capacity >= 1, and replay builds its recorder from that number.
+  const obs::Recording roomy = record_run(alg, "4.2.1", "grid", 4, 5, SchedKind::Fsync, 1,
+                                          100000, /*capacity=*/1'000'000'000'000);
+  EXPECT_EQ(roomy.events, full.events);
 }
 
 // --- format -----------------------------------------------------------------
@@ -199,16 +205,57 @@ TEST(RecorderFormat, LoadMissingFileIsNullopt) {
 
 TEST(RecorderFormat, LoadMalformedFileThrows) {
   const std::string path = temp_path("recorder_malformed.lumirec");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "lumirec 1\ncapacity banana\n";
+  const auto expect_rejected = [&path](const std::string& text) {
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << text;
+    }
+    try {
+      (void)obs::recording_load(path);
+      ADD_FAILURE() << "accepted:\n" << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line "), std::string::npos) << e.what();
+    }
+  };
+  expect_rejected("lumirec 1\ncapacity banana\n");
+  expect_rejected("not-a-recording\n");
+
+  // Hostile framing in an otherwise valid recording: negative or oversized
+  // counts, a capacity below 1, and hashes that are not 16 hex digits.
+  const Algorithm alg = blinker();
+  const obs::Recording rec =
+      record_run(alg, "", "grid", alg.min_rows, alg.min_cols, SchedKind::Fsync, 1, 25);
+  ASSERT_TRUE(rec.cycle.has_value());
+  const std::string good = obs::recording_serialize(rec);
+  const auto swap_line = [&good](const std::string& from, const std::string& to) {
+    std::string text = good;
+    const std::size_t at = text.find("\n" + from + "\n");
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) text.replace(at + 1, from.size(), to);
+    return text;
+  };
+  const auto alg_lines = static_cast<std::size_t>(
+      std::count(rec.prov.algorithm_text.begin(), rec.prov.algorithm_text.end(), '\n'));
+  const std::pair<std::string, std::size_t> counts[] = {{"algorithm", alg_lines},
+                                                        {"init", rec.initial.size()},
+                                                        {"events", rec.events.size()},
+                                                        {"final", rec.final_robots.size()}};
+  for (const auto& [key, n] : counts) {
+    for (const char* bad : {"-1", "1000000000000"}) {
+      expect_rejected(swap_line(key + " " + std::to_string(n), key + " " + bad));
+    }
   }
-  EXPECT_THROW((void)obs::recording_load(path), std::runtime_error);
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "not-a-recording\n";
+  expect_rejected(swap_line("events-seen " + std::to_string(rec.events_seen), "events-seen -1"));
+  expect_rejected(swap_line("capacity 4096", "capacity 0"));
+  expect_rejected(swap_line("capacity 4096", "capacity -1"));
+  char hash[17];
+  std::snprintf(hash, sizeof hash, "%016llx", static_cast<unsigned long long>(rec.cycle->hash));
+  const std::string cycle = "cycle " + std::to_string(rec.cycle->start) + ' ' +
+                            std::to_string(rec.cycle->length) + ' ';
+  for (const std::string& bad :
+       {std::string("zz"), std::string(hash) + "zz", "0x" + std::string(hash, 14)}) {
+    expect_rejected(swap_line(cycle + hash, cycle + bad));
   }
-  EXPECT_THROW((void)obs::recording_load(path), std::runtime_error);
 }
 
 // --- doctor rendering -------------------------------------------------------
