@@ -6,7 +6,8 @@
 // The paper's ASYNC-tolerant turning diagrams (Figs. 24-25) are not
 // recoverable from text, and our redesigned turn — while SSYNC-proof —
 // admits stale-snapshot ASYNC interleavings that break it (several phi=1
-// views at the turning junction are provably symmetric, see EXPERIMENTS.md).
+// views at the turning junction are provably symmetric).  The model checker's
+// counterexample on 3x3 is quoted in PAPER.md, "Reproduction gaps".
 // Table 1's k=6 upper bound is therefore demonstrated here under SSYNC.
 //
 // Two coupled three-robot "trains" crawl east in lockstep (paper Figs.
@@ -22,7 +23,7 @@
 // turning diagrams (Figs. 24-25) are not recoverable from text — satisfying
 // the same contract: east-facing form at the wall in, mirror-image
 // west-facing form one row down out (entering the crawl at its (b)-phase).
-// Consequences (documented in EXPERIMENTS.md): identical robot count,
+// Consequences (PAPER.md, "Reproduction gaps"): identical robot count,
 // colors, phi, route and termination; terminal configurations differ from
 // the paper's by one trailing color.
 #include "src/algorithms/algorithms.hpp"

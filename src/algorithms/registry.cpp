@@ -28,7 +28,8 @@ std::vector<TableEntry> build_table() {
   t.push_back({"4.3.3", Async, 2, 2, Common, 2, "[5]", 3, false, algorithm8});
   t.push_back({"4.3.4", Async, 2, 2, None, 2, "[5]", 4, false, algorithm9});
   t.push_back({"4.3.5", Async, 1, 3, Common, 3, "§3", 3, true, algorithm10});
-  t.push_back({"4.3.6", Ssync, 1, 3, None, 3, "§3", 6, false, algorithm11});  // see alg11 capability note
+  // The paper claims ASYNC; see PAPER.md, "Reproduction gaps".
+  t.push_back({"4.3.6", Ssync, 1, 3, None, 3, "§3", 6, false, algorithm11});
   check_unique(t);
   return t;
 }

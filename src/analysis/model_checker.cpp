@@ -1,250 +1,335 @@
 #include "src/analysis/model_checker.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "src/core/matching.hpp"
-#include "src/engine/sync_engine.hpp"
 
 namespace lumi {
 
 namespace {
 
 /// Robot phase in the ASYNC checker (sync models keep everything Idle).
-enum class McPhase : std::uint8_t { Idle = 0, Decided = 1, Colored = 2 };
+enum class McPhase : std::uint32_t { Idle = 0, Decided = 1, Colored = 2 };
 
-struct McRobot {
-  Vec pos;
-  Color color = Color::G;
-  McPhase phase = McPhase::Idle;
-  Color pending_color = Color::G;
-  std::int8_t pending_move = -1;  ///< -1 idle, else Dir
+// A robot packs into one word:
+//   node index << 9 | color << 7 | phase << 5 | pending color << 3 | pending move + 1
+// (pending move -1 = none, else a Dir).  A state is its robots' words in path
+// order followed by ceil(nodes / 64) visited words; its key is the same words
+// with the robots sorted, so anonymous robots collapse symmetric states.
+using RobotCode = std::uint32_t;
 
-  friend bool operator==(const McRobot&, const McRobot&) = default;
+constexpr int kNodeShift = 9;
+constexpr std::size_t kWitnessTail = 40;  ///< keeps witnesses reviewable
+constexpr std::uint8_t kGray = 1;         ///< on the DFS stack
+constexpr std::uint8_t kBlack = 2;        ///< fully explored
+
+constexpr RobotCode pack(int node, Color color, McPhase phase, Color pending, int move) {
+  return static_cast<RobotCode>(node) << kNodeShift | static_cast<RobotCode>(color) << 7 |
+         static_cast<RobotCode>(phase) << 5 | static_cast<RobotCode>(pending) << 3 |
+         static_cast<RobotCode>(move + 1);
+}
+constexpr int node_of(RobotCode r) { return static_cast<int>(r >> kNodeShift); }
+constexpr Color color_of(RobotCode r) { return static_cast<Color>((r >> 7) & 3); }
+constexpr McPhase phase_of(RobotCode r) { return static_cast<McPhase>((r >> 5) & 3); }
+constexpr Color pending_color_of(RobotCode r) { return static_cast<Color>((r >> 3) & 3); }
+constexpr int pending_move_of(RobotCode r) { return static_cast<int>(r & 7) - 1; }
+
+/// Open-addressing set of state keys: linear probing over uint32 ids, the
+/// keys themselves back to back in one flat arena (id-major).
+class StateTable {
+ public:
+  explicit StateTable(std::size_t key_words) : words_(key_words), slots_(1024, kEmpty) {}
+
+  /// The id of `key`, inserted under the next id when absent; `second` is
+  /// true when this call inserted it.
+  std::pair<std::uint32_t, bool> find_or_insert(const std::uint32_t* key) {
+    if (2 * (size() + 1) > slots_.size()) grow();
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = hash(key) & mask;; i = (i + 1) & mask) {
+      const std::uint32_t id = slots_[i];
+      if (id == kEmpty) {
+        slots_[i] = static_cast<std::uint32_t>(size());
+        keys_.insert(keys_.end(), key, key + words_);
+        return {slots_[i], true};
+      }
+      if (std::equal(key, key + words_, keys_.begin() + static_cast<std::ptrdiff_t>(id * words_))) {
+        return {id, false};
+      }
+    }
+  }
+
+ private:
+  static constexpr std::uint32_t kEmpty = 0xFFFFFFFFu;
+
+  std::size_t size() const { return keys_.size() / words_; }
+
+  std::uint64_t hash(const std::uint32_t* key) const {
+    std::uint64_t h = 0;
+    for (std::size_t i = 0; i < words_; ++i) {
+      h = (h ^ key[i]) * 0x9E3779B97F4A7C15ULL;
+      h ^= h >> 32;
+    }
+    return h;
+  }
+
+  void grow() {
+    slots_.assign(2 * slots_.size(), kEmpty);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t id = 0; id < size(); ++id) {
+      std::size_t i = hash(keys_.data() + id * words_) & mask;
+      while (slots_[i] != kEmpty) i = (i + 1) & mask;
+      slots_[i] = static_cast<std::uint32_t>(id);
+    }
+  }
+
+  std::size_t words_;
+  std::vector<std::uint32_t> keys_;
+  std::vector<std::uint32_t> slots_;  ///< power-of-two size, at most half full
 };
-
-struct McState {
-  std::vector<McRobot> robots;
-  std::uint64_t visited = 0;
-};
-
-std::string encode(const Grid& grid, const McState& s) {
-  std::vector<std::uint32_t> keys;
-  keys.reserve(s.robots.size());
-  for (const McRobot& r : s.robots) {
-    std::uint32_t k = static_cast<std::uint32_t>(grid.index(r.pos));
-    k = (k << 2) | static_cast<std::uint32_t>(r.color);
-    k = (k << 2) | static_cast<std::uint32_t>(r.phase);
-    k = (k << 2) | static_cast<std::uint32_t>(r.pending_color);
-    k = (k << 3) | static_cast<std::uint32_t>(r.pending_move + 1);
-    keys.push_back(k);
-  }
-  std::sort(keys.begin(), keys.end());
-  std::string out;
-  out.reserve(keys.size() * 4 + 8);
-  for (std::uint32_t k : keys) {
-    for (int b = 0; b < 4; ++b) out.push_back(static_cast<char>((k >> (8 * b)) & 0xFF));
-  }
-  for (int b = 0; b < 8; ++b) out.push_back(static_cast<char>((s.visited >> (8 * b)) & 0xFF));
-  return out;
-}
-
-Configuration to_config(const Grid& grid, const McState& s) {
-  std::vector<Robot> robots;
-  robots.reserve(s.robots.size());
-  for (const McRobot& r : s.robots) robots.push_back(Robot{r.pos, r.color});
-  return Configuration(grid, std::move(robots));
-}
-
-std::string render(const Grid& grid, const McState& s) {
-  std::string out = to_config(grid, s).to_string();
-  for (std::size_t i = 0; i < s.robots.size(); ++i) {
-    const McRobot& r = s.robots[i];
-    if (r.phase == McPhase::Idle) continue;
-    out += " [robot@(" + std::to_string(r.pos.row) + "," + std::to_string(r.pos.col) + ") " +
-           (r.phase == McPhase::Decided ? "decided" : "colored") + "]";
-  }
-  return out;
-}
-
-void mark_visited(const Grid& grid, McState& s) {
-  for (const McRobot& r : s.robots) s.visited |= 1ULL << grid.index(r.pos);
-}
 
 class Checker {
  public:
   Checker(const Algorithm& alg, const Grid& grid, CheckModel model, const CheckOptions& opts)
-      : alg_(alg), compiled_(CompiledAlgorithm::get(alg)), grid_(grid), model_(model),
-        opts_(opts) {
-    if (grid.num_nodes() > 64) throw std::invalid_argument("model_check: grid too large (>64)");
+      : compiled_(CompiledAlgorithm::get(alg)), grid_(grid), model_(model), opts_(opts),
+        n_(alg.initial_robots.size()),
+        words_((static_cast<std::size_t>(grid.num_nodes()) + 63) / 64),
+        full_(words_, 0), table_(n_ + 2 * words_), cur_(n_), seen_(words_), key_(n_ + 2 * words_),
+        config_(grid, {}), placed_(n_), actions_(n_) {
+    if (grid.rows() < alg.min_rows || grid.cols() < alg.min_cols) {
+      throw std::invalid_argument("model_check: grid below the algorithm's minimum");
+    }
+    if (grid.num_nodes() >= (1 << (32 - kNodeShift))) {
+      throw std::invalid_argument("model_check: grid has more nodes than a robot word indexes");
+    }
+    // Coverage target: one bit per *reachable* node of the bounding box
+    // (wall cells are never visited and never required; on a plain grid
+    // this is the full box).
+    for (int i = 0; i < grid.num_nodes(); ++i) {
+      if (grid.is_node_index(i)) full_[static_cast<std::size_t>(i) / 64] |= 1ULL << (i % 64);
+    }
+    // The root occupies slot 0 of the state arena.
+    visited_.assign(words_, 0);
+    for (const auto& [pos, color] : alg.initial_robots) {
+      const int node = grid.canonical_index(pos);
+      if (node < 0) throw std::invalid_argument("model_check: initial robot outside the grid");
+      robots_.push_back(pack(node, color, McPhase::Idle, color, -1));
+      mark(0, node);
+    }
   }
 
   CheckResult run() {
-    McState init;
-    for (const auto& [pos, color] : alg_.initial_robots) {
-      init.robots.push_back(McRobot{pos, color, McPhase::Idle, color, -1});
-    }
-    if (grid_.rows() < alg_.min_rows || grid_.cols() < alg_.min_cols) {
-      throw std::invalid_argument("model_check: grid below the algorithm's minimum");
-    }
-    mark_visited(grid_, init);
-    dfs(init);
+    dfs();
     if (result_.failure.empty()) result_.ok = true;
     return result_;
   }
 
  private:
+  /// One DFS stack entry: the state's arena slot and table id, and the
+  /// contiguous arena range [begin, end) holding its successors.
+  struct Frame {
+    std::size_t slot;
+    std::uint32_t id;
+    std::size_t begin;
+    std::size_t next;
+    std::size_t end;
+  };
+
+  std::size_t num_slots() const { return visited_.size() / words_; }
+  RobotCode& robot(std::size_t slot, std::size_t i) { return robots_[slot * n_ + i]; }
+  void mark(std::size_t slot, int node) {
+    visited_[slot * words_ + static_cast<std::size_t>(node) / 64] |= 1ULL << (node % 64);
+  }
+  /// Appends a copy of the state being expanded; returns its slot.
+  std::size_t append_copy() {
+    const std::size_t slot = num_slots();
+    robots_.insert(robots_.end(), cur_.begin(), cur_.end());
+    visited_.insert(visited_.end(), seen_.begin(), seen_.end());
+    return slot;
+  }
+  void truncate(std::size_t slots) {
+    robots_.resize(slots * n_);
+    visited_.resize(slots * words_);
+  }
+
   // Iterative DFS with tri-color marking: a back edge (successor on the
   // current stack) is a reachable cycle -> failure.
-  void dfs(const McState& root) {
-    struct Frame {
-      McState state;
-      std::string key;
-      std::vector<McState> succ;
-      std::size_t next = 0;
-    };
-    std::vector<Frame> stack;
-    auto push = [&](McState s) -> bool {
-      std::string key = encode(grid_, s);
-      auto it = color_.find(key);
-      if (it != color_.end()) {
-        if (it->second == 1) {
-          fail("cycle: a schedule revisits a configuration (non-terminating execution)",
-               stack, &s);
-        }
-        return false;  // black: fully explored before
-      }
-      color_.emplace(key, 1);
-      result_.states += 1;
-      if (result_.states > opts_.max_states) {
-        fail("state budget exhausted (" + std::to_string(opts_.max_states) + ")", stack, &s);
-        return false;
-      }
-      Frame f;
-      f.state = std::move(s);
-      f.key = std::move(key);
-      try {
-        f.succ = successors(f.state);
-      } catch (const std::exception& e) {
-        fail(std::string("engine error: ") + e.what(), stack, &f.state);
-        return false;
-      }
-      if (f.succ.empty()) {
-        result_.terminal_states += 1;
-        if (f.state.visited != full_mask()) {
-          fail("terminal configuration with incomplete coverage (" +
-                   std::to_string(__builtin_popcountll(f.state.visited)) + "/" +
-                   std::to_string(grid_.reachable_nodes()) + " nodes)",
-               stack, &f.state);
-        }
-      }
-      stack.push_back(std::move(f));
-      return true;
-    };
-
-    push(root);
-    while (!stack.empty() && result_.failure.empty()) {
-      Frame& top = stack.back();
-      if (top.next >= top.succ.size()) {
-        color_[top.key] = 2;
-        stack.pop_back();
+  void dfs() {
+    push(0);
+    while (!frames_.empty() && result_.failure.empty()) {
+      Frame& top = frames_.back();
+      if (top.next == top.end) {
+        color_[top.id] = kBlack;
+        truncate(top.begin);
+        frames_.pop_back();
         continue;
       }
-      McState next = std::move(top.succ[top.next]);
-      top.next += 1;
+      const std::size_t next = top.next++;
       result_.transitions += 1;
-      push(std::move(next));
+      push(next);
     }
   }
 
-  template <typename Stack>
-  void fail(const std::string& reason, const Stack& stack, const McState* offending) {
+  void push(std::size_t slot) {
+    const auto [id, inserted] = table_.find_or_insert(key_of(slot));
+    if (!inserted) {
+      if (color_[id] == kGray) {
+        fail("cycle: a schedule revisits a configuration (non-terminating execution)", slot);
+      }
+      return;  // black: fully explored before
+    }
+    color_.push_back(kGray);
+    result_.states += 1;
+    if (result_.states > opts_.max_states) {
+      fail("state budget exhausted (" + std::to_string(opts_.max_states) + ")", slot);
+      return;
+    }
+    const std::size_t begin = num_slots();
+    try {
+      expand(slot);
+    } catch (const std::exception& e) {
+      fail(std::string("engine error: ") + e.what(), slot);
+      return;
+    }
+    const std::size_t end = num_slots();
+    if (begin == end) {
+      result_.terminal_states += 1;
+      const std::uint64_t* visited = &visited_[slot * words_];
+      if (!std::equal(full_.begin(), full_.end(), visited)) {
+        int covered = 0;
+        for (std::size_t w = 0; w < words_; ++w) covered += std::popcount(visited[w]);
+        fail("terminal configuration with incomplete coverage (" + std::to_string(covered) +
+                 "/" + std::to_string(grid_.reachable_nodes()) + " nodes)",
+             slot);
+      }
+    }
+    frames_.push_back(Frame{slot, id, begin, begin, end});
+  }
+
+  /// The sorted robot words of `slot`, then its visited words as 32-bit halves.
+  const std::uint32_t* key_of(std::size_t slot) {
+    const auto robots = robots_.begin() + static_cast<std::ptrdiff_t>(slot * n_);
+    std::copy(robots, robots + static_cast<std::ptrdiff_t>(n_), key_.begin());
+    std::sort(key_.begin(), key_.begin() + static_cast<std::ptrdiff_t>(n_));
+    for (std::size_t w = 0; w < words_; ++w) {
+      const std::uint64_t bits = visited_[slot * words_ + w];
+      key_[n_ + 2 * w] = static_cast<std::uint32_t>(bits);
+      key_[n_ + 2 * w + 1] = static_cast<std::uint32_t>(bits >> 32);
+    }
+    return key_.data();
+  }
+
+  /// Records the first failure; the witness is the tail of the DFS path
+  /// followed by `offending`.
+  void fail(const std::string& reason, std::size_t offending) {
     if (!result_.failure.empty()) return;
     result_.failure = reason;
-    if (opts_.want_witness) {
-      for (const auto& frame : stack) result_.witness.push_back(render(grid_, frame.state));
-      if (offending != nullptr) result_.witness.push_back(render(grid_, *offending));
-      // Keep witnesses reviewable.
-      if (result_.witness.size() > 40) {
-        result_.witness.erase(result_.witness.begin(),
-                              result_.witness.end() - 40);
-      }
+    if (!opts_.want_witness) return;
+    const std::size_t path = frames_.size() + 1;
+    const std::size_t first = path > kWitnessTail ? path - kWitnessTail : 0;
+    for (std::size_t i = first; i < frames_.size(); ++i) {
+      result_.witness.push_back(render(frames_[i].slot));
     }
+    result_.witness.push_back(render(offending));
   }
 
-  /// Coverage target: one bit per *reachable* node of the bounding box
-  /// (wall cells are never visited and never required; on a plain grid this
-  /// is the full box).  Computed once — terminal states compare against it
-  /// on every DFS leaf.
-  std::uint64_t full_mask() const {
-    if (full_mask_ == 0) {
-      for (int i = 0; i < grid_.num_nodes(); ++i) {
-        if (grid_.is_node_index(i)) full_mask_ |= 1ULL << i;
-      }
-    }
-    return full_mask_;
+  /// What other robots see of robot `r`: its node and its current light.
+  Robot visible(RobotCode r) const { return Robot{grid_.node(node_of(r)), color_of(r)}; }
+
+  Configuration to_config(std::size_t slot) {
+    std::vector<Robot> robots;
+    robots.reserve(n_);
+    for (std::size_t i = 0; i < n_; ++i) robots.push_back(visible(robot(slot, i)));
+    return Configuration(grid_, std::move(robots));
   }
 
-  std::vector<McState> successors(const McState& s) {
-    return model_ == CheckModel::Async ? async_successors(s) : sync_successors(s);
-  }
-
-  // --- FSYNC / SSYNC -------------------------------------------------------
-  std::vector<McState> sync_successors(const McState& s) {
-    const Configuration config = to_config(grid_, s);
-    std::vector<int> enabled;
-    std::vector<std::vector<Action>> actions(s.robots.size());
-    for (int i = 0; i < static_cast<int>(s.robots.size()); ++i) {
-      actions[static_cast<std::size_t>(i)] = enabled_actions(*compiled_, config, i);
-      if (!actions[static_cast<std::size_t>(i)].empty()) enabled.push_back(i);
-    }
-    std::vector<McState> out;
-    if (enabled.empty()) return out;
-
-    if (model_ == CheckModel::Fsync) {
-      emit_selections(s, actions, enabled, out);  // the full set, all choice products
-    } else {
-      // SSYNC: every nonempty subset of the enabled robots.
-      const std::size_t n = enabled.size();
-      for (std::uint64_t mask = 1; mask < (1ULL << n); ++mask) {
-        std::vector<int> subset;
-        for (std::size_t b = 0; b < n; ++b) {
-          if (mask & (1ULL << b)) subset.push_back(enabled[b]);
-        }
-        emit_selections(s, actions, subset, out);
-      }
+  std::string render(std::size_t slot) {
+    std::string out = to_config(slot).to_string();
+    for (std::size_t i = 0; i < n_; ++i) {
+      const RobotCode r = robot(slot, i);
+      if (phase_of(r) == McPhase::Idle) continue;
+      const Vec pos = grid_.node(node_of(r));
+      out += " [robot@(" + std::to_string(pos.row) + "," + std::to_string(pos.col) + ") " +
+             (phase_of(r) == McPhase::Decided ? "decided" : "colored") + "]";
     }
     return out;
   }
 
-  /// Emits one successor per combination of action choices for `subset`.
-  void emit_selections(const McState& s, const std::vector<std::vector<Action>>& actions,
-                       const std::vector<int>& subset, std::vector<McState>& out) {
-    std::vector<std::size_t> choice(subset.size(), 0);
-    while (true) {
-      McState next = s;
-      // Simultaneous application: all moves relative to the current state.
-      for (std::size_t i = 0; i < subset.size(); ++i) {
-        const int robot = subset[i];
-        const Action& a = actions[static_cast<std::size_t>(robot)][choice[i]];
-        McRobot& r = next.robots[static_cast<std::size_t>(robot)];
-        r.color = a.new_color;
-        r.pending_color = a.new_color;
-        if (a.move.has_value()) {
-          const std::optional<Vec> to = grid_.step(r.pos, *a.move);
-          if (!to) throw std::logic_error("robot would leave the grid");
-          r.pos = *to;
+  /// Appends every successor of `slot` to the arena, in schedule order.
+  void expand(std::size_t slot) {
+    const auto robots = robots_.begin() + static_cast<std::ptrdiff_t>(slot * n_);
+    std::copy(robots, robots + static_cast<std::ptrdiff_t>(n_), cur_.begin());
+    const auto visited = visited_.begin() + static_cast<std::ptrdiff_t>(slot * words_);
+    std::copy(visited, visited + static_cast<std::ptrdiff_t>(words_), seen_.begin());
+    for (std::size_t i = 0; i < n_; ++i) placed_[i] = visible(cur_[i]);
+    config_.place_robots(placed_);
+    if (model_ == CheckModel::Async) {
+      async_successors();
+    } else {
+      sync_successors();
+    }
+  }
+
+  /// Fills actions_[i] with robot i's enabled behaviors in `config_`.
+  void look(std::size_t i) {
+    take_snapshot_into(config_, static_cast<int>(i), compiled_->phi(), snap_);
+    enabled_actions_into(*compiled_, snap_, actions_[i]);
+  }
+
+  /// The node robot `r` reaches by moving `d`; throws when that leaves the grid.
+  int step(RobotCode r, Dir d) const {
+    const std::optional<Vec> to = grid_.step(grid_.node(node_of(r)), d);
+    if (!to) throw std::logic_error("robot would leave the grid");
+    return grid_.index(*to);
+  }
+
+  // --- FSYNC / SSYNC -------------------------------------------------------
+  void sync_successors() {
+    enabled_.clear();
+    for (std::size_t i = 0; i < n_; ++i) {
+      look(i);
+      if (!actions_[i].empty()) enabled_.push_back(i);
+    }
+    if (enabled_.empty()) return;
+
+    if (model_ == CheckModel::Fsync) {
+      emit_selections(enabled_);  // the full set, all choice products
+    } else {
+      // SSYNC: every nonempty subset of the enabled robots.
+      const std::size_t n = enabled_.size();
+      for (std::uint64_t mask = 1; mask < (1ULL << n); ++mask) {
+        subset_.clear();
+        for (std::size_t b = 0; b < n; ++b) {
+          if (mask & (1ULL << b)) subset_.push_back(enabled_[b]);
         }
+        emit_selections(subset_);
       }
-      mark_visited(grid_, next);
-      out.push_back(std::move(next));
+    }
+  }
+
+  /// Emits one successor per combination of action choices for `subset`.
+  void emit_selections(const std::vector<std::size_t>& subset) {
+    choice_.assign(subset.size(), 0);
+    while (true) {
+      const std::size_t out = append_copy();
+      // Simultaneous application: all moves relative to the current state.
+      for (std::size_t k = 0; k < subset.size(); ++k) {
+        const std::size_t i = subset[k];
+        const Action& a = actions_[i][choice_[k]];
+        int node = node_of(cur_[i]);
+        if (a.move.has_value()) {
+          node = step(cur_[i], *a.move);
+          mark(out, node);
+        }
+        robot(out, i) = pack(node, a.new_color, McPhase::Idle, a.new_color, -1);
+      }
       // Next choice vector (mixed-radix increment).
       std::size_t d = 0;
       while (d < subset.size()) {
-        choice[d] += 1;
-        if (choice[d] < actions[static_cast<std::size_t>(subset[d])].size()) break;
-        choice[d] = 0;
+        choice_[d] += 1;
+        if (choice_[d] < actions_[subset[d]].size()) break;
+        choice_[d] = 0;
         d += 1;
       }
       if (d == subset.size()) break;
@@ -252,62 +337,64 @@ class Checker {
   }
 
   // --- ASYNC ---------------------------------------------------------------
-  std::vector<McState> async_successors(const McState& s) {
-    const Configuration config = to_config(grid_, s);
-    std::vector<McState> out;
-    for (std::size_t i = 0; i < s.robots.size(); ++i) {
-      const McRobot& r = s.robots[i];
-      switch (r.phase) {
+  void async_successors() {
+    for (std::size_t i = 0; i < n_; ++i) {
+      const RobotCode r = cur_[i];
+      const int node = node_of(r);
+      switch (phase_of(r)) {
         case McPhase::Idle: {
           // Look: one successor per distinct enabled behavior (stale-view
           // decisions are modeled by the delay before the later phases).
-          for (const Action& a :
-               enabled_actions(*compiled_, config, static_cast<int>(i))) {
-            McState next = s;
-            McRobot& nr = next.robots[i];
-            nr.phase = McPhase::Decided;
-            nr.pending_color = a.new_color;
-            nr.pending_move = a.move.has_value() ? static_cast<std::int8_t>(*a.move) : -1;
-            out.push_back(std::move(next));
+          look(i);
+          for (const Action& a : actions_[i]) {
+            const int move = a.move.has_value() ? static_cast<int>(*a.move) : -1;
+            robot(append_copy(), i) = pack(node, color_of(r), McPhase::Decided, a.new_color, move);
           }
           break;
         }
         case McPhase::Decided: {  // Compute-end: color becomes visible.
-          McState next = s;
-          McRobot& nr = next.robots[i];
-          nr.color = nr.pending_color;
-          nr.phase = McPhase::Colored;
-          out.push_back(std::move(next));
+          const Color c = pending_color_of(r);
+          robot(append_copy(), i) = pack(node, c, McPhase::Colored, c, pending_move_of(r));
           break;
         }
         case McPhase::Colored: {  // Move.
-          McState next = s;
-          McRobot& nr = next.robots[i];
-          if (nr.pending_move >= 0) {
-            const std::optional<Vec> to = grid_.step(nr.pos, static_cast<Dir>(nr.pending_move));
-            if (!to) throw std::logic_error("robot would leave the grid");
-            nr.pos = *to;
-          }
-          nr.phase = McPhase::Idle;
-          nr.pending_move = -1;
-          nr.pending_color = nr.color;
-          mark_visited(grid_, next);
-          out.push_back(std::move(next));
+          const int move = pending_move_of(r);
+          const int to = move >= 0 ? step(r, static_cast<Dir>(move)) : node;
+          const std::size_t out = append_copy();
+          robot(out, i) = pack(to, color_of(r), McPhase::Idle, color_of(r), -1);
+          mark(out, to);
           break;
         }
       }
     }
-    return out;
   }
 
-  const Algorithm& alg_;
   std::shared_ptr<const CompiledAlgorithm> compiled_;
   const Grid& grid_;
   CheckModel model_;
   CheckOptions opts_;
-  mutable std::uint64_t full_mask_ = 0;  ///< lazily cached coverage target
+  std::size_t n_;      ///< robots per state
+  std::size_t words_;  ///< visited words per state
+  std::vector<std::uint64_t> full_;  ///< coverage target
   CheckResult result_;
-  std::unordered_map<std::string, std::uint8_t> color_;  // 1 gray, 2 black
+  StateTable table_;
+  std::vector<std::uint8_t> color_;  ///< by state id: kGray or kBlack
+  std::vector<Frame> frames_;
+  // State arena: the DFS path's successor ranges, n_ robot words and
+  // words_ visited words per slot.
+  std::vector<RobotCode> robots_;
+  std::vector<std::uint64_t> visited_;
+  // Scratch reused by every expansion.
+  std::vector<RobotCode> cur_;
+  std::vector<std::uint64_t> seen_;
+  std::vector<std::uint32_t> key_;
+  Configuration config_;
+  std::vector<Robot> placed_;
+  Snapshot snap_;
+  std::vector<std::vector<Action>> actions_;  ///< by robot
+  std::vector<std::size_t> enabled_;
+  std::vector<std::size_t> subset_;
+  std::vector<std::size_t> choice_;
 };
 
 }  // namespace

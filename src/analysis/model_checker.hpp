@@ -5,12 +5,16 @@
 // nonempty SSYNC activation subsets, all ASYNC Look/Compute/Move
 // interleavings including stale-snapshot decisions) and verifies that every
 // maximal execution terminates in a fully-explored configuration:
-//   * no reachable cycle (a cycle would admit a fair non-terminating
-//     schedule for these algorithms, where every enabled robot keeps acting),
+//   * no reachable cycle,
 //   * every terminal state has all nodes visited,
 //   * no robot ever steps off the grid (engine-level exception).
-// States carry the visited-node bitmask, so coverage is exact per path
+// States carry one visited bit per node, so coverage is exact per path
 // prefix; anonymous robots are canonicalized to collapse symmetric states.
+//
+// The cycle check is the conservative reading: *any* reachable cycle fails,
+// fair or not.  Under SSYNC/ASYNC that is stricter than a fair-scheduler
+// claim, where a cycle only refutes the claim if some schedule along it
+// keeps activating every enabled robot.
 #pragma once
 
 #include <cstdint>

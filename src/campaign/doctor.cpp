@@ -1,6 +1,7 @@
 #include "src/campaign/doctor.hpp"
 
 #include <algorithm>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -224,28 +225,24 @@ std::string per_robot_timeline(const obs::Recording& rec, int max_instants) {
 
 std::string rule_fire_counts(const obs::Recording& rec) {
   const Algorithm alg = algorithm_of(rec);
-  std::vector<long long> counts;
+  // Keyed by rule index: the indices come from the file, so nothing is sized
+  // by them.
+  std::map<int, long long> counts;
   for (const obs::RecordedEvent& ev : rec.events) {
-    if (ev.rule_index < 0) continue;
-    if (static_cast<std::size_t>(ev.rule_index) >= counts.size()) {
-      counts.resize(static_cast<std::size_t>(ev.rule_index) + 1, 0);
-    }
-    counts[static_cast<std::size_t>(ev.rule_index)] += 1;
+    if (ev.rule_index >= 0) counts[ev.rule_index] += 1;
   }
-  std::vector<std::size_t> order;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    if (counts[i] > 0) order.push_back(i);
-  }
-  std::sort(order.begin(), order.end(), [&counts](std::size_t a, std::size_t b) {
-    return counts[a] != counts[b] ? counts[a] > counts[b] : a < b;
+  if (counts.empty()) return "(no rule firings in the recorded tail)\n";
+  std::vector<std::pair<int, long long>> order(counts.begin(), counts.end());
+  std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
+    return a.second != b.second ? a.second > b.second : a.first < b.first;
   });
   std::ostringstream out;
-  if (order.empty()) return "(no rule firings in the recorded tail)\n";
   out << "rule firings over the recorded tail (" << rec.events.size() << " events):\n";
-  for (std::size_t i : order) {
+  for (const auto& [rule, count] : order) {
+    const auto i = static_cast<std::size_t>(rule);
     const std::string label = i < alg.rules.size() ? alg.rules[i].label
-                                                   : "rule#" + std::to_string(i);
-    out << "  " << label << ": " << counts[i] << '\n';
+                                                   : "rule#" + std::to_string(rule);
+    out << "  " << label << ": " << count << '\n';
   }
   return out.str();
 }

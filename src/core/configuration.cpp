@@ -35,6 +35,30 @@ void Configuration::move_robot(int i, Vec to) {
   }
 }
 
+void Configuration::place_robots(std::span<const Robot> robots) {
+  for (const Robot& r : robots) {
+    if (!grid_.contains(r.pos)) throw std::invalid_argument("robot placed outside the grid");
+  }
+  for (const Robot& r : robots_) {
+    const int idx = grid_.index(r.pos);
+    occupancy_[static_cast<std::size_t>(idx)] = ColorMultiset{};
+    if (journal_enabled_) journal_.push_back(idx);
+  }
+  robots_.assign(robots.begin(), robots.end());
+  for (Robot& r : robots_) r.pos = grid_.canonicalize(r.pos);
+  try {
+    for (const Robot& r : robots_) {
+      const int idx = grid_.index(r.pos);
+      occupancy_[static_cast<std::size_t>(idx)].add(r.color);
+      if (journal_enabled_) journal_.push_back(idx);
+    }
+  } catch (const std::overflow_error&) {
+    for (const Robot& r : robots_) occupancy_[static_cast<std::size_t>(grid_.index(r.pos))] = {};
+    robots_.clear();
+    throw;
+  }
+}
+
 std::vector<Robot> Configuration::canonical_robots() const {
   std::vector<Robot> sorted(robots_.begin(), robots_.end());
   std::sort(sorted.begin(), sorted.end(), [](const Robot& a, const Robot& b) {

@@ -99,6 +99,18 @@ class Configuration {
     }
   }
 
+  /// Replaces every robot at once, reusing the robot and occupancy storage,
+  /// so re-placing allocates nothing once the robot count has been reached
+  /// (the model checker matches every state against one configuration).
+  /// Validates like the constructor: a robot off-world throws
+  /// std::invalid_argument and leaves the configuration unchanged, wrapped
+  /// placements are stored canonically, and a node stacking more than
+  /// kMaxRobotsPerNode robots of one color throws std::overflow_error and
+  /// leaves no robots.  The journal, when enabled, records the nodes of the
+  /// old and the new robots.  `robots` must not view this configuration's
+  /// own robot list.
+  void place_robots(std::span<const Robot> robots);
+
   /// Multiset of colors on the node `v` designates (empty when unoccupied).
   const ColorMultiset& multiset_at(Vec v) const {
     static constexpr ColorMultiset kEmpty;
@@ -141,8 +153,9 @@ class Configuration {
   std::string to_string() const;
 
   /// Enables (or disables) the change journal, clearing any recorded
-  /// entries.  While enabled, every set_color/move_robot appends the node
-  /// indices it touched (duplicates possible; readers deduplicate).
+  /// entries.  While enabled, every set_color/move_robot/place_robots
+  /// appends the node indices it touched (duplicates possible; readers
+  /// deduplicate).
   void set_journal(bool enabled) {
     journal_enabled_ = enabled;
     journal_.clear();

@@ -68,6 +68,11 @@ TEST(Configuration, CellAndMultiset) {
 TEST(Configuration, RejectsOffGridPlacement) {
   const Grid g(2, 3);
   EXPECT_THROW(Configuration(g, {Robot{{5, 5}, Color::G}}), std::invalid_argument);
+  // Re-placing validates the same way, before anything changes.
+  Configuration c(g, {Robot{{0, 0}, Color::G}});
+  const std::vector<Robot> off_grid = {Robot{{1, 1}, Color::W}, Robot{{5, 5}, Color::G}};
+  EXPECT_THROW(c.place_robots(off_grid), std::invalid_argument);
+  EXPECT_EQ(c.to_string(), "{(0,0):{G}}");
 }
 
 TEST(Configuration, MoveValidatesAdjacency) {
@@ -147,6 +152,39 @@ TEST(Configuration, OccupancyTracksMutationsAndStaysConsistentOnOverflow) {
   // Recoloring to the current color is a no-op even on a full stack.
   EXPECT_NO_THROW(c.set_color(0, Color::G));
   EXPECT_EQ(c.multiset_at({0, 0}).count(Color::G), kMaxRobotsPerNode);
+
+  // Re-placing an overfull stack throws and leaves no robots behind.
+  const std::vector<Robot> stacked(kMaxRobotsPerNode + 1, Robot{{1, 2}, Color::B});
+  EXPECT_THROW(c.place_robots(stacked), std::overflow_error);
+  EXPECT_EQ(c.num_robots(), 0);
+  for (const ColorMultiset& m : c.occupancy()) EXPECT_TRUE(m.empty());
+}
+
+TEST(Configuration, PlaceRobotsMatchesAFreshConfiguration) {
+  // Re-placing one configuration must be indistinguishable from building a
+  // new one: robots in order, occupancy, canonical storage on a torus seam.
+  for (const std::string& spec : {std::string("grid"), std::string("torus")}) {
+    const Topology topo = make_topology(spec, 3, 4);
+    Configuration c(topo, {Robot{{0, 0}, Color::G}, Robot{{2, 3}, Color::W}});
+    std::vector<Robot> next = {Robot{{1, 1}, Color::B}, Robot{{1, 1}, Color::W},
+                               Robot{{0, 3}, Color::G}};
+    if (spec == "torus") next.push_back(Robot{{3, 4}, Color::G});  // wraps to (0,0)
+    c.set_journal(true);
+    c.place_robots(next);
+    const Configuration fresh(topo, next);
+    ASSERT_EQ(c.num_robots(), fresh.num_robots()) << spec;
+    for (int i = 0; i < c.num_robots(); ++i) EXPECT_EQ(c.robot(i), fresh.robot(i)) << spec;
+    for (int i = 0; i < topo.num_nodes(); ++i) {
+      EXPECT_EQ(c.occupancy()[static_cast<std::size_t>(i)],
+                fresh.occupancy()[static_cast<std::size_t>(i)])
+          << spec << " node " << i;
+    }
+    EXPECT_EQ(c.to_string(), fresh.to_string()) << spec;
+    // The journal names the old robots' nodes, then the new ones.
+    std::vector<int> expected = {topo.index({0, 0}), topo.index({2, 3})};
+    for (const Robot& r : fresh.robots()) expected.push_back(topo.index(r.pos));
+    EXPECT_EQ(std::vector<int>(c.journal().begin(), c.journal().end()), expected) << spec;
+  }
 }
 
 TEST(Configuration, StackedRobotsRender) {

@@ -266,6 +266,14 @@ TEST(RecorderDoctor, TimelineAndRuleCountsRender) {
   EXPECT_NE(timeline.find("robot 0"), std::string::npos);
   const std::string counts = rule_fire_counts(rec);
   EXPECT_FALSE(counts.empty());
+
+  // A rule index far past the table is counted under its number, without
+  // sizing anything by it.
+  obs::Recording hostile = rec;
+  ASSERT_FALSE(hostile.events.empty());
+  hostile.events.front().rule_index = 2000000000;
+  EXPECT_NE(rule_fire_counts(hostile).find("rule#2000000000: 1\n"), std::string::npos)
+      << rule_fire_counts(hostile);
 }
 
 TEST(RecorderDoctor, DiffIsEmptyOnIdenticalAndNamesDivergence) {
