@@ -14,6 +14,7 @@
 #include <string>
 
 #include "src/algorithms/registry.hpp"
+#include "src/campaign/campaign.hpp"
 #include "src/engine/runner.hpp"
 #include "src/topo/topology.hpp"
 #include "src/trace/ascii_render.hpp"
@@ -91,33 +92,22 @@ int main(int argc, char** argv) {
   opts.record_trace = args.trace;
   opts.max_steps = args.max_steps;
 
+  // `auto` runs the algorithm under the random scheduler of its own model.
   std::string sched = args.sched;
-  if (sched == "auto") sched = alg.model == Synchrony::Fsync ? "fsync" : "async-random";
+  if (sched == "auto") {
+    sched = alg.model == Synchrony::Fsync   ? "fsync"
+            : alg.model == Synchrony::Ssync ? "ssync-random"
+                                            : "async-random";
+  }
+  const std::optional<campaign::SchedKind> kind = campaign::sched_from_name(sched);
+  if (!kind) {
+    std::fprintf(stderr, "unknown scheduler '%s'\n", sched.c_str());
+    return 2;
+  }
 
   RunResult result;
   try {
-    if (sched == "fsync") {
-      FsyncScheduler s;
-      result = run_sync(alg, grid, s, opts);
-    } else if (sched == "ssync-random") {
-      SsyncRandomScheduler s(args.seed);
-      result = run_sync(alg, grid, s, opts);
-    } else if (sched == "ssync-rr") {
-      SsyncRoundRobinScheduler s;
-      result = run_sync(alg, grid, s, opts);
-    } else if (sched == "async-random") {
-      AsyncRandomScheduler s(args.seed);
-      result = run_async(alg, grid, s, opts);
-    } else if (sched == "async-central") {
-      AsyncCentralizedScheduler s;
-      result = run_async(alg, grid, s, opts);
-    } else if (sched == "async-stress") {
-      AsyncStaleStressScheduler s(args.seed);
-      result = run_async(alg, grid, s, opts);
-    } else {
-      std::fprintf(stderr, "unknown scheduler '%s'\n", sched.c_str());
-      return 2;
-    }
+    result = campaign::run_with_sched(CellPlan(alg, grid), *kind, args.seed, opts);
   } catch (const std::exception& e) {
     // e.g. a bounding box below the algorithm's minimum, or a topology
     // whose walls displace the initial placement.

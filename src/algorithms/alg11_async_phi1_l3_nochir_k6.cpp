@@ -85,8 +85,9 @@ Algorithm algorithm11() {
       RuleBuilder("R6", B).cell("N", empty).cell("E", {W}).moves(Dir::East).build());
   // Turning phase.  R7 keeps the paper's entry action; the rest is this
   // reproduction's own design (the paper's turning diagrams are not
-  // recoverable from text, DESIGN.md §1).  Phi=1 robots cannot exclude the
-  // rear G's crawl rule R1 at the wall, so the turn embraces it:
+  // recoverable from text; PAPER.md, "Reproduction gaps").  Phi=1 robots
+  // cannot exclude the rear G's crawl rule R1 at the wall, so the turn
+  // embraces it:
   //   X:  [G, {G,W} | {W,B}, W]   (wall-stall; R6 may still be pending)
   //   R7: the stack's G drops onto the wall-side W (no recolor en route);
   //   R1: the rear G folds into the wall stack; R7c recolors the dropped

@@ -1,10 +1,10 @@
 // The paper's fourteen terminating grid exploration algorithms.
 //
-// Rule guards are reconstructed from the prose execution traces (see
-// DESIGN.md §1): the paper gives every algorithm's initial configuration,
-// rule actions, per-phase configuration sequences and terminal
-// configurations in text; the guard diagrams themselves are figures.  Each
-// factory returns a validated Algorithm whose behavior matches those traces.
+// Rule guards are reconstructed from the prose execution traces: the paper
+// gives every algorithm's initial configuration, rule actions, per-phase
+// configuration sequences and terminal configurations in text; the guard
+// diagrams themselves are figures.  Each factory returns a validated
+// Algorithm whose behavior matches those traces.
 #pragma once
 
 #include "src/core/algorithm.hpp"
@@ -36,7 +36,7 @@ Algorithm algorithm9();
 Algorithm algorithm10();
 /// §4.3.6, Algorithm 11: phi=1, 3 colors, no chirality, k=6.  Proceeding
 /// rules R1-R6 follow the paper; the turning rules are our own design with
-/// the same contract (see DESIGN.md §1).
+/// the same contract (see PAPER.md, "Reproduction gaps").
 Algorithm algorithm11();
 
 // --- Derived algorithms (color-duplication, paper §4.2.3/4.2.4/4.2.8) ------

@@ -151,15 +151,6 @@ std::string to_string(DefectClass cls) {
 
 std::string to_string(Severity sev) { return sev == Severity::Error ? "error" : "warning"; }
 
-std::optional<DefectClass> defect_from_string(const std::string& slug) {
-  for (DefectClass cls :
-       {DefectClass::DeterminismConflict, DefectClass::SymmetryAmbiguousMove,
-        DefectClass::DeadRule, DefectClass::ColorFlow, DefectClass::WallHazard}) {
-    if (to_string(cls) == slug) return cls;
-  }
-  return std::nullopt;
-}
-
 Snapshot WitnessView::to_snapshot() const {
   Snapshot snap;
   snap.origin = {0, 0};

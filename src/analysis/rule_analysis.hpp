@@ -60,8 +60,6 @@ enum class DefectClass : std::uint8_t {
 /// "color-flow", "wall-hazard" (fixture `# expect:` headers use these).
 std::string to_string(DefectClass cls);
 std::string to_string(Severity sev);
-/// Inverse of to_string(DefectClass); nullopt for unknown slugs.
-std::optional<DefectClass> defect_from_string(const std::string& slug);
 
 /// A concrete view (global frame, kernel order) witnessing a finding.
 /// Feeding it to the matcher reproduces the reported behaviors.

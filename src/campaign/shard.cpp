@@ -1,19 +1,25 @@
 #include "src/campaign/shard.hpp"
 
-#include <cstdlib>
+#include <charconv>
 #include <stdexcept>
 
 namespace lumi::campaign {
 
 std::optional<ShardSpec> shard_from_string(const std::string& text) {
+  // Each half must be all digits and fit in unsigned: from_chars takes no
+  // sign or space and reports overflow instead of wrapping.
+  const auto parse = [](const char* first, const char* last, unsigned& out) {
+    const auto [end, ec] = std::from_chars(first, last, out);
+    return first != last && ec == std::errc() && end == last;
+  };
   const std::size_t slash = text.find('/');
-  if (slash == std::string::npos || slash == 0 || slash + 1 >= text.size()) return std::nullopt;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (i != slash && (text[i] < '0' || text[i] > '9')) return std::nullopt;
-  }
+  if (slash == std::string::npos) return std::nullopt;
+  const char* begin = text.data();
   ShardSpec spec;
-  spec.index = static_cast<unsigned>(std::atol(text.substr(0, slash).c_str()));
-  spec.count = static_cast<unsigned>(std::atol(text.substr(slash + 1).c_str()));
+  if (!parse(begin, begin + slash, spec.index) ||
+      !parse(begin + slash + 1, begin + text.size(), spec.count)) {
+    return std::nullopt;
+  }
   if (spec.count == 0 || spec.index >= spec.count) return std::nullopt;
   return spec;
 }

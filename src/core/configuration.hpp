@@ -124,18 +124,6 @@ class Configuration {
     if (idx < 0) return CellContent{.wall = true, .robots = {}};
     return CellContent{.wall = false, .robots = occupancy_[static_cast<std::size_t>(idx)]};
   }
-  /// Seed-grid cell lookup: bounds check + row-major occupancy, no topology
-  /// dispatch.  Precondition: topology().plain().  The snapshot loop — the
-  /// innermost code of the simulator — branches on plain() once and calls
-  /// this per cell, so plain grids pay nothing for the topology abstraction
-  /// (perfbench's core.snapshot_ns measures that loop).
-  CellContent cell_plain(Vec v) const {
-    if (v.row < 0 || v.row >= grid_.rows() || v.col < 0 || v.col >= grid_.cols()) {
-      return CellContent{.wall = true, .robots = {}};
-    }
-    return CellContent{.wall = false,
-                       .robots = occupancy_[static_cast<std::size_t>(grid_.index(v))]};
-  }
   /// The node-indexed occupancy table itself (row-major on plain grids).
   /// The snapshot fill reads it through a local pointer so its stores into
   /// the snapshot cannot force per-cell reloads of the table address.

@@ -1,7 +1,6 @@
 #include "src/engine/runner.hpp"
 
 #include <optional>
-#include <stdexcept>
 
 #include "src/core/incremental.hpp"
 #include "src/obs/recorder.hpp"
@@ -213,11 +212,6 @@ RunResult run_async(const CellPlan& plan, AsyncScheduler& sched, const RunOption
   result.failure = "event budget exhausted (" + std::to_string(opts.max_steps) + " events)";
   copy_counters(result);
   return result;
-}
-
-const Configuration& final_configuration(const RunResult& result) {
-  if (result.trace.empty()) throw std::logic_error("final_configuration: trace not recorded");
-  return result.trace[result.trace.size() - 1].config;
 }
 
 }  // namespace lumi

@@ -95,7 +95,4 @@ RunResult run_async(const CellPlan& plan, AsyncScheduler& sched, const RunOption
 RunResult run_async(const Algorithm& alg, const Topology& topo, AsyncScheduler& sched,
                     const RunOptions& opts = {});
 
-/// Final configuration of a recorded trace (requires record_trace).
-const Configuration& final_configuration(const RunResult& result);
-
 }  // namespace lumi

@@ -1,6 +1,7 @@
-// Regenerates the paper's figures as ASCII traces (see DESIGN.md §4 for the
-// figure -> algorithm mapping).  Figures 1-2 show model conventions, Fig. 3
-// the exploration route, Figs. 4-25 algorithm execution fragments.
+// Regenerates the paper's figures as ASCII traces (the kSpecs table in
+// figure_printer.cpp maps each figure to its algorithm).  Figures 1-2 show
+// model conventions, Fig. 3 the exploration route, Figs. 4-25 algorithm
+// execution fragments.
 #pragma once
 
 #include <ostream>

@@ -1,11 +1,13 @@
-// Sweep verification of the eight FSYNC Table-1 entries: every grid size in
-// range must be fully explored with termination, under the FSYNC scheduler,
-// with per-robot action uniqueness (the algorithms are deterministic).
+// Sweep verification of the eight FSYNC Table-1 entries: a campaign over
+// every grid size in range must explore fully and terminate under the FSYNC
+// scheduler, with per-robot action uniqueness (the algorithms are
+// deterministic).
 #include <gtest/gtest.h>
 
 #include "src/algorithms/algorithms.hpp"
 #include "src/algorithms/registry.hpp"
-#include "src/analysis/verifier.hpp"
+#include "src/engine/runner.hpp"
+#include "tests/sweep_check.hpp"
 
 namespace lumi {
 namespace {
@@ -20,12 +22,7 @@ TEST_P(FsyncAlgorithmTest, SweepExploresAndTerminates) {
   EXPECT_EQ(alg.num_colors, e.num_colors);
   EXPECT_EQ(alg.chirality, e.chirality);
 
-  SweepOptions opts;
-  opts.max_rows = 8;
-  opts.max_cols = 9;
-  opts.run_fsync = true;
-  const SweepReport report = verify_sweep(alg, opts);
-  EXPECT_TRUE(report.ok()) << report.to_string();
+  expect_sweep_explores(GetParam(), 8, 9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Table1Fsync, FsyncAlgorithmTest,
@@ -41,9 +38,9 @@ INSTANTIATE_TEST_SUITE_P(Table1Fsync, FsyncAlgorithmTest,
 
 TEST(FsyncAlgorithms, MoveCountGrowsLinearlyInArea) {
   // The sweep route visits every node a bounded number of times, so total
-  // moves must be Theta(m*n); sanity-check the ratio stays bounded.
+  // moves must be Theta(m*n): at least one move and at most four per node.
   const Algorithm alg = algorithms::algorithm1();
-  for (int rows = 3; rows <= 8; ++rows) {
+  for (int rows = 3; rows <= 12; ++rows) {
     const Grid grid(rows, rows + 1);
     FsyncScheduler sched;
     const RunResult r = run_sync(alg, grid, sched);
@@ -51,7 +48,7 @@ TEST(FsyncAlgorithms, MoveCountGrowsLinearlyInArea) {
     const double ratio =
         static_cast<double>(r.stats.moves) / static_cast<double>(grid.num_nodes());
     EXPECT_LT(ratio, 4.0) << grid.to_string();
-    EXPECT_GT(ratio, 0.5) << grid.to_string();
+    EXPECT_GT(ratio, 1.0) << grid.to_string();
   }
 }
 

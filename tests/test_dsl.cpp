@@ -4,7 +4,8 @@
 
 #include "src/algorithms/algorithms.hpp"
 #include "src/algorithms/registry.hpp"
-#include "src/analysis/verifier.hpp"
+#include "src/analysis/model_checker.hpp"
+#include "src/core/view.hpp"
 
 namespace lumi {
 namespace {
@@ -48,10 +49,12 @@ TEST(Dsl, RoundTripsEveryBuiltinAlgorithm) {
 
 TEST(Dsl, ParsedAlgorithmStillExplores) {
   const Algorithm parsed = dsl::parse(dsl::serialize(algorithms::algorithm1()));
-  SweepOptions opts;
-  opts.max_rows = 4;
-  opts.max_cols = 5;
-  EXPECT_TRUE(verify_sweep(parsed, opts).ok());
+  for (int rows = parsed.min_rows; rows <= 4; ++rows) {
+    for (int cols = parsed.min_cols; cols <= 5; ++cols) {
+      const CheckResult r = model_check(parsed, Grid(rows, cols), CheckModel::Fsync);
+      EXPECT_TRUE(r.ok) << rows << "x" << cols << ": " << r.to_string();
+    }
+  }
 }
 
 TEST(Dsl, ParsesHandWrittenText) {

@@ -367,8 +367,8 @@ TEST(PaperTraces, Alg11ProceedEastWaypoints) {
 }
 
 TEST(PaperTraces, Alg11TurnProducesMirrorCrawl) {
-  // Our turn design (see DESIGN.md §1): after the east-wall turn the robots
-  // re-enter the crawl's (a)-phase one row down, mirrored:
+  // Our turn design (PAPER.md, "Reproduction gaps"): after the east-wall
+  // turn the robots re-enter the crawl's (a)-phase one row down, mirrored:
   // W(1,n-3), W(1,n-2), G(1,n-1), W(2,n-2), {W,B}(2,n-1).
   const Trace t = run_trace(algorithms::algorithm11(), 4, 6);
   expect_reaches(t, 4, 6,

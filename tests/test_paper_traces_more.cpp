@@ -88,8 +88,8 @@ TEST(PaperTracesMore, Alg9TerminalEvenM) {
 
 TEST(PaperTracesMore, Alg11Terminals) {
   // This reproduction's Algorithm 11 terminals (documented deviation from
-  // the paper's, see EXPERIMENTS.md): the wall stall freezes the turn entry
-  // with a three-color stack in the final corner.
+  // the paper's, see PAPER.md, "Reproduction gaps"): the wall stall freezes
+  // the turn entry with a three-color stack in the final corner.
   const Trace even = run_trace(algorithms::algorithm11(), 4, 6);
   expect_terminal(even, 4, 6, {{{2, 5}, {W}}, {{3, 4}, {W, B}}, {{3, 5}, {G, W, B}}},
                   "Alg11 even-m terminal");

@@ -98,11 +98,59 @@ TEST(Runner, VisitedVectorMatchesCoverage) {
   EXPECT_EQ(static_cast<int>(r.visited.size()), grid.num_nodes());
 }
 
-TEST(Runner, FinalConfigurationRequiresTrace) {
-  const Algorithm alg = algorithms::algorithm1();
+TEST(Runner, UniqueActionCheckRejectsSymmetricChoices) {
+  // Symmetric initial view: the single robot can move in four directions.
+  Algorithm wander;
+  wander.name = "wander";
+  wander.model = Synchrony::Fsync;
+  wander.phi = 1;
+  wander.num_colors = 1;
+  wander.chirality = Chirality::Common;
+  wander.min_rows = 3;
+  wander.min_cols = 3;
+  wander.initial_robots = {{{1, 1}, G}};
+  wander.rules.push_back(
+      RuleBuilder("R1", G).cell("E", CellPattern::empty()).moves(Dir::East).build());
+  wander.validate();
+
   FsyncScheduler sched;
-  const RunResult r = run_sync(alg, Grid(2, 3), sched);
-  EXPECT_THROW(final_configuration(r), std::logic_error);
+  RunOptions opts;
+  opts.require_unique_actions = true;
+  const RunResult r = run_sync(wander, Grid(3, 3), sched, opts);
+  EXPECT_FALSE(r.ok());
+  EXPECT_NE(r.failure.find("multiple distinct enabled behaviors"), std::string::npos)
+      << r.failure;
+}
+
+TEST(Runner, TerminationWithoutFullCoverageIsNotOk) {
+  // A rule set that walks one robot east and stops: terminates without
+  // exploring, and without any failure string to explain it.
+  Algorithm lazy;
+  lazy.name = "lazy";
+  lazy.model = Synchrony::Fsync;
+  lazy.phi = 1;
+  lazy.num_colors = 1;
+  lazy.chirality = Chirality::Common;
+  lazy.min_rows = 2;
+  lazy.min_cols = 3;
+  lazy.initial_robots = {{{0, 0}, G}, {{0, 1}, G}};
+  lazy.rules.push_back(RuleBuilder("R1", G)
+                           .cell("W", {G})
+                           .cell("E", CellPattern::empty())
+                           .moves(Dir::East)
+                           .build());
+  lazy.validate();
+
+  FsyncScheduler sched;
+  RunOptions opts;
+  opts.require_unique_actions = true;
+  const Grid grid(3, 4);
+  const RunResult r = run_sync(lazy, grid, sched, opts);
+  EXPECT_TRUE(r.terminated);
+  EXPECT_TRUE(r.failure.empty()) << r.failure;
+  EXPECT_FALSE(r.explored_all);
+  EXPECT_LT(r.visited_count(), grid.reachable_nodes());
+  EXPECT_FALSE(r.ok());
 }
 
 TEST(Runner, GridBelowAlgorithmMinimumThrows) {

@@ -15,7 +15,7 @@ strings are blanked out of the code channel), rules match the code channel
 only, and a comment `// lumi-lint: allow(<rule>)` on the same or the
 immediately preceding line suppresses that rule there (use sparingly; say
 why on the same comment).  Each rule carries its own path scope and
-allowlist, so e.g. wall-clock reads are legal in bench/ but not in src/.
+allowlist, so e.g. wall-clock reads are legal in examples/ but not in src/.
 
 Usage:
   lumi_lint.py [--root DIR] [--json FILE] [paths...]   lint the tree (or files)
@@ -36,7 +36,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-DEFAULT_SCAN = ["src", "tests", "examples", "bench", "tools"]
+DEFAULT_SCAN = ["src", "tests", "examples", "tools"]
 CPP_SUFFIXES = {".cpp", ".hpp", ".h", ".cc", ".cxx", ".hxx"}
 
 ALLOW = re.compile(r"lumi-lint:\s*allow\(([^)]*)\)")
@@ -112,8 +112,8 @@ RULES = [
             "clock reads in src/ risk leaking execution time into results "
             "(merge identity forbids it).  Wall-time diagnostics that never "
             "reach checkpoints or merged reports (e.g. CampaignSummary::"
-            "wall_seconds) carry an allow comment saying so; benches and "
-            "tests are out of scope by path"
+            "wall_seconds) carry an allow comment saying so; the CLIs in "
+            "examples/ and the tests are out of scope by path"
         ),
     ),
     Rule(
