@@ -11,7 +11,6 @@
 //   $ ./campaign_cli --checkpoint=run.ckpt              # re-run resumes where it died
 //   $ ./campaign_cli --checkpoint=run.ckpt --adaptive   # extra seeds for shaky cells
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <filesystem>
@@ -115,19 +114,15 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (const char* v = value("--cols=")) {
       if (!parse_range(v, args.cols)) return false;
     } else if (const char* v = value("--seeds=")) {
-      args.seeds = std::atoi(v);
-      if (args.seeds < 1) return bad_value();
+      if (!campaign::parse_number(v, args.seeds, 1)) return bad_value();
     } else if (const char* v = value("--threads=")) {
-      args.threads = static_cast<unsigned>(std::atoi(v));
+      if (!campaign::parse_number(v, args.threads)) return bad_value();
     } else if (const char* v = value("--batch=")) {
       // 0 = automatic per-cell sizing; 1 = the per-job reference path.
       // Reports are byte-identical at any value — this is a perf knob only.
-      const long b = std::atol(v);
-      if (b < 0) return bad_value();
-      args.batch = static_cast<std::size_t>(b);
+      if (!campaign::parse_number(v, args.batch)) return bad_value();
     } else if (const char* v = value("--max-steps=")) {
-      args.max_steps = std::atol(v);
-      if (args.max_steps < 1) return bad_value();
+      if (!campaign::parse_number(v, args.max_steps, 1)) return bad_value();
     } else if (const char* v = value("--csv=")) {
       args.csv_path = v;
     } else if (const char* v = value("--json=")) {
@@ -141,10 +136,10 @@ bool parse_args(int argc, char** argv, Args& args) {
       const std::string spec = v;
       const std::size_t comma = spec.rfind(',');
       if (comma != std::string::npos) {
-        const long k = std::atol(spec.c_str() + comma + 1);
-        if (k < 1) return bad_value();
+        if (!campaign::parse_number(spec.c_str() + comma + 1, args.record_anomalies.limit, 1)) {
+          return bad_value();
+        }
         args.record_anomalies.dir = spec.substr(0, comma);
-        args.record_anomalies.limit = static_cast<std::size_t>(k);
       } else {
         args.record_anomalies.dir = spec;
       }
@@ -156,22 +151,22 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (const char* v = value("--checkpoint=")) {
       args.checkpoint_path = v;
     } else if (const char* v = value("--flush-interval=")) {
-      args.flush_interval = std::atof(v);
-      if (args.flush_interval <= 0) return bad_value();
+      if (!campaign::parse_number(v, args.flush_interval) || args.flush_interval <= 0) {
+        return bad_value();
+      }
     } else if (const char* v = value("--max-jobs=")) {
-      args.max_jobs = static_cast<std::size_t>(std::atol(v));
+      if (!campaign::parse_number(v, args.max_jobs)) return bad_value();
     } else if (arg == "--adaptive") {
       args.adaptive.enabled = true;
     } else if (const char* v = value("--adaptive-max-extra=")) {
       args.adaptive.enabled = true;
-      args.adaptive.max_extra_seeds = static_cast<unsigned>(std::atoi(v));
+      if (!campaign::parse_number(v, args.adaptive.max_extra_seeds)) return bad_value();
     } else if (const char* v = value("--adaptive-round=")) {
       args.adaptive.enabled = true;
-      args.adaptive.seeds_per_round = static_cast<unsigned>(std::atoi(v));
-      if (args.adaptive.seeds_per_round == 0) return bad_value();
+      if (!campaign::parse_number(v, args.adaptive.seeds_per_round, 1)) return bad_value();
     } else if (const char* v = value("--adaptive-variance=")) {
       args.adaptive.enabled = true;
-      args.adaptive.instants_variance_threshold = std::atof(v);
+      if (!campaign::parse_number(v, args.adaptive.instants_variance_threshold)) return bad_value();
     } else if (arg == "--progress") {
       args.progress = true;
     } else if (arg == "--quiet") {

@@ -39,21 +39,24 @@ bool parse_args(int argc, char** argv, Args& args) {
       const std::size_t len = std::strlen(key);
       return arg.compare(0, len, key) == 0 ? arg.c_str() + len : nullptr;
     };
+    auto bad_value = [&arg]() {
+      std::fprintf(stderr, "bad value in '%s'\n", arg.c_str());
+      return false;
+    };
     if (const char* v = value("--section=")) {
       args.section = v;
     } else if (const char* v = value("--rows=")) {
-      args.rows = std::atoi(v);
+      if (!lumi::campaign::parse_number(v, args.rows, 1)) return bad_value();
     } else if (const char* v = value("--cols=")) {
-      args.cols = std::atoi(v);
+      if (!lumi::campaign::parse_number(v, args.cols, 1)) return bad_value();
     } else if (const char* v = value("--topology=")) {
       args.topology = v;
     } else if (const char* v = value("--sched=")) {
       args.sched = v;
     } else if (const char* v = value("--seed=")) {
-      args.seed = static_cast<unsigned>(std::atoi(v));
+      if (!lumi::campaign::parse_number(v, args.seed)) return bad_value();
     } else if (const char* v = value("--max-steps=")) {
-      args.max_steps = std::atol(v);
-      if (args.max_steps < 1) return false;
+      if (!lumi::campaign::parse_number(v, args.max_steps, 1)) return bad_value();
     } else if (arg == "--trace") {
       args.trace = true;
     } else {
@@ -79,9 +82,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const Algorithm alg = algorithms::entry(args.section).make();
+  Algorithm alg;
   std::optional<Grid> built;
   try {
+    alg = algorithms::entry(args.section).make();  // throws on an unknown section
     built.emplace(make_topology(args.topology, args.rows, args.cols));
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());

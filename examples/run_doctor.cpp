@@ -48,6 +48,11 @@ int usage(const char* argv0) {
   return 2;
 }
 
+int bad_value(const std::string& arg, const char* argv0) {
+  std::fprintf(stderr, "run_doctor: bad value in '%s'\n", arg.c_str());
+  return usage(argv0);
+}
+
 obs::Recording load_or_die(const std::string& path) {
   const std::optional<obs::Recording> rec = obs::recording_load(path);
   if (!rec.has_value()) {
@@ -144,15 +149,15 @@ int record(int argc, char** argv) {
     } else if (const auto v = value("--sched")) {
       sched_name = *v;
     } else if (const auto v = value("--rows")) {
-      rows = std::stoi(*v);
+      if (!campaign::parse_number(*v, rows, 1)) return bad_value(arg, argv[0]);
     } else if (const auto v = value("--cols")) {
-      cols = std::stoi(*v);
+      if (!campaign::parse_number(*v, cols, 1)) return bad_value(arg, argv[0]);
     } else if (const auto v = value("--seed")) {
-      seed = static_cast<unsigned>(std::stoul(*v));
+      if (!campaign::parse_number(*v, seed)) return bad_value(arg, argv[0]);
     } else if (const auto v = value("--max-steps")) {
-      max_steps = std::stol(*v);
+      if (!campaign::parse_number(*v, max_steps, 1)) return bad_value(arg, argv[0]);
     } else if (const auto v = value("--capacity")) {
-      capacity = static_cast<std::size_t>(std::stoul(*v));
+      if (!campaign::parse_number(*v, capacity)) return bad_value(arg, argv[0]);
     } else if (arg == "--unique-actions") {
       unique_actions = true;
     } else {

@@ -12,6 +12,9 @@ namespace lumi {
 
 namespace {
 
+/// States one protected-node game may expand before it gives up.
+constexpr long kMaxGameStates = 2'000'000;
+
 /// Identity-preserving state: (pos, color) per robot.  Identities matter for
 /// the per-robot fairness bookkeeping, so no canonicalization here.
 struct GameState {
@@ -42,9 +45,8 @@ struct Node {
 
 class Game {
  public:
-  Game(const Algorithm& alg, const Grid& grid, Vec target, long max_states)
-      : alg_(alg), compiled_(CompiledAlgorithm::get(alg)), grid_(grid), target_(target),
-        max_states_(max_states) {}
+  Game(const Algorithm& alg, const Grid& grid, Vec target)
+      : alg_(alg), compiled_(CompiledAlgorithm::get(alg)), grid_(grid), target_(target) {}
 
   AdversaryResult solve() {
     AdversaryResult result;
@@ -60,7 +62,7 @@ class Game {
     // BFS expansion of the restricted graph (successors that keep the
     // target node unoccupied).
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      if (static_cast<long>(nodes_.size()) > max_states_) {
+      if (static_cast<long>(nodes_.size()) > kMaxGameStates) {
         result.summary = "state budget exhausted";
         result.states = static_cast<long>(nodes_.size());
         return result;
@@ -259,26 +261,23 @@ class Game {
   std::shared_ptr<const CompiledAlgorithm> compiled_;
   const Grid& grid_;
   Vec target_;
-  long max_states_;
   std::vector<Node> nodes_;
   std::unordered_map<std::string, int> index_;
 };
 
 }  // namespace
 
-AdversaryResult check_protected_node(const Algorithm& alg, const Grid& grid, Vec target,
-                                     const AdversaryOptions& opts) {
+AdversaryResult check_protected_node(const Algorithm& alg, const Grid& grid, Vec target) {
   if (alg.num_robots() > 30) throw std::invalid_argument("too many robots for the game solver");
-  Game game(alg, grid, target, opts.max_states);
+  Game game(alg, grid, target);
   return game.solve();
 }
 
-AdversaryResult find_ssync_adversary(const Algorithm& alg, const Grid& grid,
-                                     const AdversaryOptions& opts) {
+AdversaryResult find_ssync_adversary(const Algorithm& alg, const Grid& grid) {
   AdversaryResult overall;
   for (int idx = 0; idx < grid.num_nodes(); ++idx) {
     if (!grid.is_node_index(idx)) continue;  // walls are not defensible nodes
-    AdversaryResult r = check_protected_node(alg, grid, grid.node(idx), opts);
+    AdversaryResult r = check_protected_node(alg, grid, grid.node(idx));
     overall.states += r.states;
     if (r.adversary_wins) {
       r.states = overall.states;

@@ -23,10 +23,6 @@
 
 namespace lumi {
 
-struct AdversaryOptions {
-  long max_states = 2'000'000;
-};
-
 struct AdversaryResult {
   bool adversary_wins = false;
   Vec protected_node;        ///< node the adversary keeps unvisited (if wins)
@@ -40,11 +36,9 @@ struct AdversaryResult {
 /// adversary can defend forever (fairly).  `adversary_wins == false` means
 /// every fair SSYNC schedule eventually visits every node — evidence the
 /// algorithm explores under any fair SSYNC adversary on this grid.
-AdversaryResult find_ssync_adversary(const Algorithm& alg, const Grid& grid,
-                                     const AdversaryOptions& opts = {});
+AdversaryResult find_ssync_adversary(const Algorithm& alg, const Grid& grid);
 
 /// Checks a single protected node.
-AdversaryResult check_protected_node(const Algorithm& alg, const Grid& grid, Vec target,
-                                     const AdversaryOptions& opts = {});
+AdversaryResult check_protected_node(const Algorithm& alg, const Grid& grid, Vec target);
 
 }  // namespace lumi

@@ -225,7 +225,6 @@ class Checker {
   void fail(const std::string& reason, std::size_t offending) {
     if (!result_.failure.empty()) return;
     result_.failure = reason;
-    if (!opts_.want_witness) return;
     const std::size_t path = frames_.size() + 1;
     const std::size_t first = path > kWitnessTail ? path - kWitnessTail : 0;
     for (std::size_t i = first; i < frames_.size(); ++i) {

@@ -30,8 +30,6 @@ enum class CheckModel : std::uint8_t { Fsync, Ssync, Async };
 
 struct CheckOptions {
   long max_states = 4'000'000;
-  /// Collect a witness path (state renderings) on failure.
-  bool want_witness = true;
 };
 
 struct CheckResult {

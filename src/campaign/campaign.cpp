@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <exception>
-#include <limits>
 #include <stdexcept>
 
 #include "src/algorithms/registry.hpp"
@@ -81,39 +80,22 @@ std::vector<int> IntRange::values() const {
 }
 
 std::optional<IntRange> range_from_string(const std::string& text) {
-  // Strict base-10 integer: no sign-only/empty/trailing-garbage inputs.
-  // 64-bit accumulator: the overflow check must hold even where long is
-  // 32 bits (LLP64).
-  const auto parse_int = [](const std::string& s, int& out) {
-    if (s.empty()) return false;
-    std::int64_t v = 0;
-    std::size_t i = s[0] == '-' ? 1 : 0;
-    if (i == s.size()) return false;
-    for (; i < s.size(); ++i) {
-      if (s[i] < '0' || s[i] > '9') return false;
-      v = v * 10 + (s[i] - '0');
-      if (v > std::numeric_limits<int>::max()) return false;
-    }
-    out = static_cast<int>(s[0] == '-' ? -v : v);
-    return true;
-  };
   IntRange out{0, 0, 1};
   const std::size_t dots = text.find("..");
   if (dots == std::string::npos) {
-    if (!parse_int(text, out.from) || out.from <= 0) return std::nullopt;
+    if (!parse_number(text, out.from, 1)) return std::nullopt;
     out.to = out.from;
     return out;
   }
   std::string rest = text.substr(dots + 2);
   const std::size_t colon = rest.find(':');
   if (colon != std::string::npos) {
-    if (!parse_int(rest.substr(colon + 1), out.step) || out.step <= 0) return std::nullopt;
+    if (!parse_number(rest.substr(colon + 1), out.step, 1)) return std::nullopt;
     rest = rest.substr(0, colon);
   }
-  if (!parse_int(text.substr(0, dots), out.from) || !parse_int(rest, out.to)) {
+  if (!parse_number(text.substr(0, dots), out.from, 1) || !parse_number(rest, out.to)) {
     return std::nullopt;
   }
-  if (out.from <= 0) return std::nullopt;
   return out;
 }
 
@@ -191,7 +173,7 @@ RunResult run_with_sched(const CellPlan& plan, SchedKind kind, unsigned seed,
                          const RunOptions& opts) {
   switch (kind) {
     case SchedKind::Fsync: {
-      FsyncScheduler s(seed);
+      FsyncScheduler s;
       return run_sync(plan, s, opts);
     }
     case SchedKind::SsyncRandom: {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -17,6 +18,9 @@
 namespace lumi::campaign {
 
 namespace {
+
+/// Adaptive escalation rounds after the base pass (AdaptivePolicy).
+constexpr unsigned kMaxEscalationRounds = 8;
 
 bool seed_done(const CheckpointCell& cell, unsigned seed) {
   return std::binary_search(cell.seeds_done.begin(), cell.seeds_done.end(), seed);
@@ -131,7 +135,7 @@ std::vector<Job> escalation_round(const Checkpoint& ck, const std::vector<std::s
     const std::size_t extra_used = c.seeds_done.size() - base[i];
     if (extra_used >= policy.max_extra_seeds) continue;
     const bool unhealthy =
-        c.acc.termination_rate() < policy.min_termination_rate ||
+        c.acc.termination_rate() < 1.0 ||
         (policy.instants_variance_threshold >= 0.0 &&
          c.acc.instants.variance() > policy.instants_variance_threshold);
     if (!unhealthy) continue;
@@ -147,6 +151,12 @@ std::vector<Job> escalation_round(const Checkpoint& ck, const std::vector<std::s
 
 OrchestratorReport run_orchestrated(const Expansion& expansion,
                                     const OrchestratorOptions& options) {
+  // The flusher hands the interval to std::chrono, whose conversion of a
+  // non-finite duration to integer ticks is undefined.
+  if (!options.checkpoint_path.empty() &&
+      !(std::isfinite(options.flush_seconds) && options.flush_seconds > 0)) {
+    throw std::invalid_argument("run_orchestrated: flush_seconds must be finite and positive");
+  }
   // wall_seconds is an execution-environment diagnostic: it never reaches
   // checkpoints or the merged JSON report.  lumi-lint: allow(wall-clock)
   const auto start = std::chrono::steady_clock::now();
@@ -278,7 +288,7 @@ OrchestratorReport run_orchestrated(const Expansion& expansion,
     pool.wait_idle();
 
     if (report.complete && options.adaptive.enabled) {
-      for (unsigned round = 0; round < options.adaptive.max_rounds; ++round) {
+      for (unsigned round = 0; round < kMaxEscalationRounds; ++round) {
         std::vector<Job> jobs;
         {
           std::lock_guard lock(state_mu);

@@ -20,19 +20,17 @@
 
 namespace lumi::campaign {
 
-/// After the base pass, cells that misbehave — termination rate below
-/// `min_termination_rate` or instants variance above
-/// `instants_variance_threshold` — receive `seeds_per_round` fresh seeds per
-/// round (continuing past the highest seed consumed) until they recover or
-/// the `max_extra_seeds` per-cell budget runs out.  Cells under
-/// deterministic schedulers never escalate (the seed is ignored there).
+/// After the base pass, cells that misbehave — a run that did not
+/// terminate, or instants variance above `instants_variance_threshold` —
+/// receive `seeds_per_round` fresh seeds per round (continuing past the
+/// highest seed consumed), for at most 8 rounds, until they recover or the
+/// `max_extra_seeds` per-cell budget runs out.  Cells under deterministic
+/// schedulers never escalate (the seed is ignored there).
 struct AdaptivePolicy {
   bool enabled = false;
-  double min_termination_rate = 1.0;
   double instants_variance_threshold = -1.0;  ///< negative: variance never escalates
   unsigned seeds_per_round = 4;
   unsigned max_extra_seeds = 16;
-  unsigned max_rounds = 8;
 };
 
 struct OrchestratorOptions {
@@ -64,7 +62,9 @@ struct OrchestratorReport {
 /// Runs the expansion's jobs that the checkpoint at
 /// `options.checkpoint_path` (if any) does not already cover, then any
 /// adaptive escalation rounds.  Throws std::runtime_error when an existing
-/// checkpoint belongs to a different matrix (fingerprint or cell mismatch).
+/// checkpoint belongs to a different matrix (fingerprint or cell mismatch),
+/// and std::invalid_argument when a checkpoint path is set and
+/// `flush_seconds` is not finite and positive.
 OrchestratorReport run_orchestrated(const Expansion& expansion,
                                     const OrchestratorOptions& options);
 

@@ -35,34 +35,22 @@ std::string matcher_fingerprint(const Algorithm& alg) {
   return fp;
 }
 
-/// Folds one guard cell's pattern into the row's prefilter planes.  Only
-/// constraints that are *implied* by a match are recorded (the planes must
-/// never reject a matching snapshot); the dense walk still decides exact
-/// multiset equality.
-void fold_into_planes(CompiledRule& rule, std::size_t s, std::size_t w,
-                      const CellPattern& pattern) {
-  const auto bit = static_cast<std::uint16_t>(1u << w);
+/// The cell states (bit `state` set) in which `pattern` can never match.
+/// Only what a match rules out is recorded — the prefilter must never reject
+/// a matching snapshot; the dense walk still decides exact multiset equality.
+unsigned unmatchable_states(const CellPattern& pattern) {
+  constexpr unsigned kEmpty = 1u << 0;
+  constexpr unsigned kOccupied = 1u << 1;
+  constexpr unsigned kWall = 1u << 2;
   switch (pattern.kind()) {
-    case CellPattern::Kind::Empty:
-      rule.forbid_occupied[s] |= bit;
-      rule.forbid_wall[s] |= bit;
-      break;
-    case CellPattern::Kind::Wall:
-      rule.need_wall[s] |= bit;
-      break;
-    case CellPattern::Kind::EmptyOrWall:
-      rule.forbid_occupied[s] |= bit;
-      break;
+    case CellPattern::Kind::Empty: return kOccupied | kWall;
+    case CellPattern::Kind::Wall: return kEmpty | kOccupied;
+    case CellPattern::Kind::EmptyOrWall: return kOccupied;
     case CellPattern::Kind::Multiset:
-      rule.forbid_wall[s] |= bit;
-      if (pattern.multiset().empty()) {
-        rule.forbid_occupied[s] |= bit;
-      } else {
-        rule.need_occupied[s] |= bit;
-      }
-      break;
-    case CellPattern::Kind::Any: break;
+      return pattern.multiset().empty() ? kOccupied | kWall : kEmpty | kWall;
+    case CellPattern::Kind::Any: return 0;
   }
+  return 0;
 }
 
 }  // namespace
@@ -87,77 +75,59 @@ CompiledAlgorithm::CompiledAlgorithm(const Algorithm& alg)
   const ViewKernel& kernel = ViewKernel::get(phi_);
   const std::span<const Vec> offsets = kernel.offsets();
   const std::size_t ks = static_cast<std::size_t>(kernel_size_);
+  const std::size_t nsyms = syms_.size();
+  const std::size_t word_size = ks * kCellStates;
+  std::array<CellPattern, kMaxKernelSize> local{};
+  std::array<unsigned, kMaxKernelSize> never{};
   for (std::size_t ri = 0; ri < alg.rules.size(); ++ri) {
     const Rule& rule = alg.rules[ri];
+    for (std::size_t i = 0; i < ks; ++i) {
+      local[i] = rule.pattern_at(offsets[i]);
+      never[i] = unmatchable_states(local[i]);
+    }
+    std::vector<CompiledRule>& rules = by_color_[static_cast<std::size_t>(rule.self)];
+    GuardGroup& group = groups_[static_cast<std::size_t>(rule.self)];
     CompiledRule compiled;
     compiled.rule_index = static_cast<int>(ri);
     compiled.new_color = rule.new_color;
-    compiled.patterns.resize(syms_.size() * ks);  // default: implicit gray
-    for (std::size_t s = 0; s < syms_.size(); ++s) {
+    compiled.patterns.resize(nsyms * ks);
+    for (std::size_t s = 0; s < nsyms; ++s) {
       const Sym sym = syms_[s];
       const std::span<const std::uint8_t> perm = kernel.permutation(sym);
+      const std::size_t lane = rules.size() * nsyms + s;
+      const std::size_t word = lane / kGuardLanesPerWord;
+      const std::uint64_t bit = std::uint64_t{1} << (lane % kGuardLanesPerWord);
+      if (group.reject.size() < (word + 1) * word_size) {
+        group.reject.resize((word + 1) * word_size, 0);
+      }
+      std::uint64_t* reject = group.reject.data() + word * word_size;
       // The naive matcher checks pattern_at(offsets[i]) against the cell at
       // index_of(apply(sym, offsets[i])); the permutation is a bijection, so
-      // scattering each pattern to its world slot yields the dense row.
+      // scattering each pattern to its world slot yields the dense row, and
+      // its unmatchable states go to the same slot of the prefilter.
       for (std::size_t i = 0; i < ks; ++i) {
-        compiled.patterns[s * ks + perm[i]] = rule.pattern_at(offsets[i]);
-      }
-      for (std::size_t w = 0; w < ks; ++w) {
-        fold_into_planes(compiled, s, w, compiled.patterns[s * ks + w]);
+        compiled.patterns[s * ks + perm[i]] = local[i];
+        for (std::size_t state = 0; state < kCellStates; ++state) {
+          if ((never[i] >> state) & 1u) reject[perm[i] * kCellStates + state] |= bit;
+        }
       }
       compiled.move_by_sym[s] =
           rule.move.has_value() ? static_cast<std::int8_t>(apply(sym, *rule.move))
                                 : static_cast<std::int8_t>(-1);
     }
-    by_color_[static_cast<std::size_t>(rule.self)].push_back(std::move(compiled));
+    rules.push_back(std::move(compiled));
+    group.lanes = rules.size() * nsyms;
   }
-  // Scatter each group's per-rule planes into the padded SoA lane arrays the
-  // block kernels sweep.  Padding lanes are all-ones sentinels: the kernel
-  // has at most kMaxKernelSize (13) cells, so need bits 13..15 can never be
-  // met and a sentinel lane always rejects.
-  for (std::size_t color = 0; color < kMaxColors; ++color) {
-    const std::vector<CompiledRule>& rules = by_color_[color];
-    GuardGroup& group = groups_[color];
-    group.lanes = rules.size() * syms_.size();
-    const std::size_t padded =
-        (group.lanes + kGuardLaneBlock - 1) / kGuardLaneBlock * kGuardLaneBlock;
-    group.need_occupied.assign(padded, 0xFFFF);
-    group.forbid_occupied.assign(padded, 0xFFFF);
-    group.need_wall.assign(padded, 0xFFFF);
-    group.forbid_wall.assign(padded, 0xFFFF);
-    for (std::size_t ri = 0; ri < rules.size(); ++ri) {
-      for (std::size_t s = 0; s < syms_.size(); ++s) {
-        const std::size_t lane = ri * syms_.size() + s;
-        group.need_occupied[lane] = rules[ri].need_occupied[s];
-        group.forbid_occupied[lane] = rules[ri].forbid_occupied[s];
-        group.need_wall[lane] = rules[ri].need_wall[s];
-        group.forbid_wall[lane] = rules[ri].forbid_wall[s];
-      }
+  // Lanes past the last real one in each group's final word reject in every
+  // state of cell 0, so the matcher needs no bound check per word.
+  for (GuardGroup& group : groups_) {
+    const std::size_t used = group.lanes % kGuardLanesPerWord;
+    if (used == 0) continue;
+    std::uint64_t* cell0 = group.reject.data() + group.lanes / kGuardLanesPerWord * word_size;
+    for (std::size_t state = 0; state < kCellStates; ++state) {
+      cell0[state] |= ~std::uint64_t{0} << used;
     }
   }
-}
-
-std::uint32_t guard_pass_mask_scalar(const GuardGroup& group, SnapshotPlanes planes,
-                                     std::size_t base) {
-  std::uint32_t mask = 0;
-  for (std::size_t i = 0; i < kGuardLaneBlock; ++i) {
-    const std::size_t lane = base + i;
-    const std::uint32_t reject =
-        (group.need_occupied[lane] & static_cast<std::uint16_t>(~planes.occupied)) |
-        (group.forbid_occupied[lane] & planes.occupied) |
-        (group.need_wall[lane] & static_cast<std::uint16_t>(~planes.wall)) |
-        (group.forbid_wall[lane] & planes.wall);
-    if (reject == 0) mask |= 1u << i;
-  }
-  return mask;
-}
-
-std::uint32_t guard_pass_mask(const GuardGroup& group, SnapshotPlanes planes, std::size_t base) {
-  // One-time probe; afterwards a perfectly predicted branch.  The AVX2 TU is
-  // compiled with vector flags, so this baseline-ISA TU owns the dispatch.
-  static const bool simd = guard_simd_available();
-  if (simd) return guard_pass_mask_avx2(group, planes, base);
-  return guard_pass_mask_scalar(group, planes, base);
 }
 
 std::shared_ptr<const CompiledAlgorithm> CompiledAlgorithm::get(const Algorithm& alg) {

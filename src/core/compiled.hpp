@@ -43,63 +43,42 @@ struct CompiledRule {
   std::vector<CellPattern> patterns;
   /// Movement premapped to the global frame per symmetry; -1 = stay.
   std::array<std::int8_t, 8> move_by_sym{};
-  /// Guard-row prefilter planes, derived from each cell's pattern kind and
-  /// multiset: cells the guard requires occupied / forbids occupied, and
-  /// requires / forbids to be walls, per symmetry.  A snapshot whose
-  /// SnapshotPlanes violate any of them cannot match the row, so the dense
-  /// pattern walk is skipped entirely.
-  std::array<std::uint16_t, 8> need_occupied{};
-  std::array<std::uint16_t, 8> forbid_occupied{};
-  std::array<std::uint16_t, 8> need_wall{};
-  std::array<std::uint16_t, 8> forbid_wall{};
-
-  /// True when the planes alone rule out a match under symmetry slot `s`.
-  bool planes_reject(std::size_t s, SnapshotPlanes planes) const {
-    return ((need_occupied[s] & static_cast<std::uint16_t>(~planes.occupied)) |
-            (forbid_occupied[s] & planes.occupied) |
-            (need_wall[s] & static_cast<std::uint16_t>(~planes.wall)) |
-            (forbid_wall[s] & planes.wall)) != 0;
-  }
 };
 
-/// Lanes per guard-plane block: 16 u16 planes fill one 256-bit register, so
-/// the vector kernel judges 16 (rule, symmetry) slots per compare sequence.
-inline constexpr std::size_t kGuardLaneBlock = 16;
+/// (rule, symmetry) lanes per guard-prefilter word.
+inline constexpr std::size_t kGuardLanesPerWord = 64;
+/// States a snapshot cell can be in for the prefilter: empty node (0),
+/// occupied node (1) or wall (2) — the cell's SnapshotPlanes wall bit * 2 +
+/// occupied bit (the two planes never share a bit).
+inline constexpr std::size_t kCellStates = 3;
 
-/// Structure-of-arrays guard-plane prefilter over one self-color rule group.
-/// Lane `r * num_symmetries + s` holds the planes of the group's r-th rule
-/// under its s-th admissible symmetry — the same rule-then-symmetry order the
-/// matcher reports witnesses in.  The arrays are padded to a multiple of
-/// kGuardLaneBlock with always-reject sentinels (all planes 0xFFFF: the
-/// kernel has at most 13 cells, so a sentinel's high need-bits can never be
-/// satisfied), letting the kernels sweep whole blocks unconditionally.
+/// Bit-sliced guard prefilter over one self-color rule group.  Lane
+/// `r * num_symmetries + s` stands for the group's r-th rule under its s-th
+/// admissible symmetry — the rule-then-symmetry order the matcher reports
+/// witnesses in — and lanes are packed kGuardLanesPerWord to a word.
+/// `reject[(word * kernel_size + w) * kCellStates + state]` holds the lanes
+/// of `word` whose dense row can never match cell w in `state`, so ORing
+/// one entry per kernel cell judges a whole word of lanes at once.  The
+/// lanes past `lanes` in the last word are set in every state of cell 0,
+/// so they always reject.
 struct GuardGroup {
-  std::size_t lanes = 0;  ///< real lanes (rules * symmetries), before padding
-  std::vector<std::uint16_t> need_occupied;
-  std::vector<std::uint16_t> forbid_occupied;
-  std::vector<std::uint16_t> need_wall;
-  std::vector<std::uint16_t> forbid_wall;
+  std::size_t lanes = 0;  ///< rules * symmetries
+  std::vector<std::uint64_t> reject;
 };
 
-/// Bitmask (bit i set = lane base+i survives) of the planes prefilter over
-/// one block of kGuardLaneBlock lanes.  `base` must be block-aligned and
-/// within the padded arrays.  A set bit means the snapshot *may* match the
-/// lane's dense row; a clear bit proves it cannot.  The scalar reference and
-/// the dispatching entry point are differentially pinned against each other
-/// (tests/test_guard_simd.cpp).
-std::uint32_t guard_pass_mask_scalar(const GuardGroup& group, SnapshotPlanes planes,
-                                     std::size_t base);
-/// AVX2 kernel; defined as a scalar delegate when the build excludes SIMD
-/// (so the symbol always links).  Call only when guard_simd_available().
-std::uint32_t guard_pass_mask_avx2(const GuardGroup& group, SnapshotPlanes planes,
-                                   std::size_t base);
-/// True when the vector kernel is compiled in AND the CPU supports it; the
-/// build-time switch is -DLUMI_FORCE_SCALAR_GUARDS (CMake option of the same
-/// name), which pins the portable scalar path.
-bool guard_simd_available();
-/// Build-time-selected entry point: the AVX2 kernel when available, the
-/// scalar reference otherwise.  Verdicts are bit-identical either way.
-std::uint32_t guard_pass_mask(const GuardGroup& group, SnapshotPlanes planes, std::size_t base);
+/// Survivor mask of lane word `word` (bit i = lane word * 64 + i) for a
+/// snapshot with these planes: a set bit means the snapshot *may* match the
+/// lane's dense row, a clear bit proves it cannot.
+inline std::uint64_t guard_pass_mask(const GuardGroup& group, int kernel_size,
+                                     SnapshotPlanes planes, std::size_t word) {
+  const std::uint64_t* cell =
+      group.reject.data() + word * static_cast<std::size_t>(kernel_size) * kCellStates;
+  std::uint64_t reject = 0;
+  for (int w = 0; w < kernel_size; ++w, cell += kCellStates) {
+    reject |= cell[((planes.wall >> w) & 1u) * 2 + ((planes.occupied >> w) & 1u)];
+  }
+  return ~reject;
+}
 
 class CompiledAlgorithm {
  public:
@@ -119,8 +98,8 @@ class CompiledAlgorithm {
   std::span<const CompiledRule> rules_for(Color self) const {
     return by_color_[static_cast<std::size_t>(self)];
   }
-  /// The SoA guard-plane prefilter for the `self` rule group (lane order
-  /// matches rules_for: rule-major, symmetry-minor).
+  /// The guard prefilter for the `self` rule group (lane order matches
+  /// rules_for: rule-major, symmetry-minor).
   const GuardGroup& guard_group(Color self) const {
     return groups_[static_cast<std::size_t>(self)];
   }

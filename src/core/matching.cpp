@@ -56,12 +56,12 @@ void enabled_actions_into(const CompiledAlgorithm& alg, const Snapshot& snap,
   const std::span<const CompiledRule> rules = alg.rules_for(snap.self_color);
   const GuardGroup& group = alg.guard_group(snap.self_color);
   const std::size_t nsyms = syms.size();
-  // The whole self-color group is judged a block of 16 (rule, symmetry)
+  // The whole self-color group is judged a word of 64 (rule, symmetry)
   // lanes at a time; only surviving lanes pay the dense row walk.  Lanes
   // ascend in rule-then-symmetry order, so witnesses come out identical to
   // the per-rule reference loop.
-  for (std::size_t base = 0; base < group.lanes; base += kGuardLaneBlock) {
-    std::uint32_t mask = guard_pass_mask(group, planes, base);
+  for (std::size_t base = 0; base < group.lanes; base += kGuardLanesPerWord) {
+    std::uint64_t mask = guard_pass_mask(group, ks, planes, base / kGuardLanesPerWord);
     while (mask != 0) {
       const std::size_t lane = base + static_cast<std::size_t>(std::countr_zero(mask));
       mask &= mask - 1;
@@ -97,8 +97,8 @@ std::optional<Action> first_enabled(const CompiledAlgorithm& alg, const Snapshot
   const std::span<const CompiledRule> rules = alg.rules_for(snap.self_color);
   const GuardGroup& group = alg.guard_group(snap.self_color);
   const std::size_t nsyms = syms.size();
-  for (std::size_t base = 0; base < group.lanes; base += kGuardLaneBlock) {
-    std::uint32_t mask = guard_pass_mask(group, planes, base);
+  for (std::size_t base = 0; base < group.lanes; base += kGuardLanesPerWord) {
+    std::uint64_t mask = guard_pass_mask(group, ks, planes, base / kGuardLanesPerWord);
     while (mask != 0) {
       const std::size_t lane = base + static_cast<std::size_t>(std::countr_zero(mask));
       mask &= mask - 1;

@@ -5,16 +5,11 @@
 namespace lumi {
 
 namespace {
-Action pick_action(rng::Engine& rng, bool randomize, const std::vector<Action>& actions) {
-  if (!randomize || actions.size() == 1) return actions.front();
+Action pick_action(rng::Engine& rng, const std::vector<Action>& actions) {
+  if (actions.size() == 1) return actions.front();
   return actions[bounded_draw(rng, static_cast<std::uint32_t>(actions.size()))];
 }
 }  // namespace
-
-FsyncScheduler::FsyncScheduler(unsigned seed, bool randomize_choice)
-    : randomize_choice_(randomize_choice) {
-  if (randomize_choice) rng_.emplace(seed);
-}
 
 std::vector<RobotAction> FsyncScheduler::select(
     const Configuration& config, const std::vector<std::vector<Action>>& enabled) {
@@ -30,9 +25,7 @@ void FsyncScheduler::select_into(const Configuration&,
   out.reserve(enabled.size());  // no-op once the engine's buffer has warmed up
   for (std::size_t i = 0; i < enabled.size(); ++i) {
     if (enabled[i].empty()) continue;
-    out.push_back(RobotAction{static_cast<int>(i),
-                              randomize_choice_ ? pick_action(*rng_, true, enabled[i])
-                                                : enabled[i].front()});
+    out.push_back(RobotAction{static_cast<int>(i), enabled[i].front()});
   }
 }
 
@@ -64,7 +57,7 @@ void SsyncRandomScheduler::select_into(const Configuration&,
     for (int robot : candidates_) {
       if (bounded_draw(rng_, 2) == 1) {
         out.push_back(RobotAction{
-            robot, pick_action(rng_, true, enabled[static_cast<std::size_t>(robot)])});
+            robot, pick_action(rng_, enabled[static_cast<std::size_t>(robot)])});
       }
     }
   }

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "src/core/rng.hpp"
@@ -42,22 +41,14 @@ class SyncScheduler {
 };
 
 /// FSYNC: every enabled robot acts every instant.  Among multiple enabled
-/// behaviors of one robot the first (or a seeded-random one) is taken.
+/// behaviors of one robot the first is taken.
 class FsyncScheduler final : public SyncScheduler {
  public:
-  explicit FsyncScheduler(unsigned seed = 0, bool randomize_choice = false);
   std::vector<RobotAction> select(const Configuration&,
                                   const std::vector<std::vector<Action>>&) override;
   void select_into(const Configuration&, const std::vector<std::vector<Action>>&,
                    std::vector<RobotAction>& out) override;
   std::string name() const override { return "fsync"; }
-
- private:
-  /// Seeded only when randomize_choice: engine construction writes ~2500
-  /// words — a measurable share of a whole micro-run — and the default
-  /// first-behavior FSYNC adversary never draws from it.
-  std::optional<rng::Engine> rng_;
-  bool randomize_choice_;
 };
 
 /// SSYNC: a uniformly random nonempty subset of the enabled robots acts; a

@@ -209,6 +209,25 @@ TEST(IntRangeParsing, RejectsMalformedText) {
   }
 }
 
+TEST(NumberParsing, WholeTokenInRangeAndFinite) {
+  int i = 7;
+  EXPECT_TRUE(parse_number("-12", i));
+  EXPECT_EQ(i, -12);
+  for (const char* bad : {"", "3x", " 3", "+3", "-", "1e3", "99999999999"}) {
+    EXPECT_FALSE(parse_number(bad, i)) << bad;
+  }
+  EXPECT_FALSE(parse_number("0", i, 1));
+  EXPECT_EQ(i, -12);  // untouched by every rejection
+  unsigned u = 0;
+  EXPECT_FALSE(parse_number("-1", u));
+  double d = 0;
+  EXPECT_TRUE(parse_number("2.5", d));
+  EXPECT_EQ(d, 2.5);
+  for (const char* bad : {"nan", "inf", "-inf", "infinity", "1e999", "5s"}) {
+    EXPECT_FALSE(parse_number(bad, d)) << bad;
+  }
+}
+
 TEST(IntRangeValues, UpperEndpointIsAlwaysIncluded) {
   // Aligned and misaligned steps both cover `to`: a sweep asked to reach 64
   // columns must actually measure the 64-column edge.

@@ -2,15 +2,19 @@
 // enabled-action sets as the naive sparse-scan reference — same behaviors,
 // same order, same (rule_index, sym) witnesses — for every Table-1 algorithm
 // over randomized configurations (random positions incl. stacks, random
-// colors, walls in view near borders).  This pins the compiled hot path to
-// the reference semantics.
+// colors) on every topology family: walls past a grid's border, walls inside
+// holed and obstacle grids, and views that wrap onto themselves on a small
+// torus and ring.  This pins the compiled hot path to the reference
+// semantics.
 #include "src/core/matching.hpp"
 
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
 #include "src/algorithms/registry.hpp"
+#include "tests/random_worlds.hpp"
 
 namespace lumi {
 namespace {
@@ -25,42 +29,35 @@ TEST(CompiledMatcher, MatchesNaiveOnRandomConfigurations) {
   for (const algorithms::TableEntry& e : algorithms::table1()) {
     const Algorithm alg = e.make();
     const std::shared_ptr<const CompiledAlgorithm> compiled = CompiledAlgorithm::get(alg);
-    // Small grids keep walls inside most views; +2 headroom exercises
-    // interior cells too.
-    const Grid grid(alg.min_rows + 2, alg.min_cols + 2);
-    std::uniform_int_distribution<int> row(0, grid.rows() - 1);
-    std::uniform_int_distribution<int> col(0, grid.cols() - 1);
-    std::uniform_int_distribution<int> color(0, alg.num_colors - 1);
-    for (int trial = 0; trial < 120; ++trial) {
-      std::vector<Robot> robots;
-      for (int i = 0; i < alg.num_robots(); ++i) {
-        robots.push_back(Robot{{row(rng), col(rng)}, static_cast<Color>(color(rng))});
-      }
-      const Configuration config(grid, std::move(robots));
-      bool any_enabled = false;
-      for (int r = 0; r < config.num_robots(); ++r) {
-        const Snapshot snap = take_snapshot(config, r, alg.phi);
-        const std::vector<Action> reference = naive_enabled_actions(alg, snap);
-        const std::vector<Action> fast = enabled_actions(*compiled, snap);
-        ASSERT_EQ(fast.size(), reference.size())
-            << e.section << " trial " << trial << " robot " << r << " in " << config.to_string();
-        for (std::size_t i = 0; i < reference.size(); ++i) {
-          EXPECT_TRUE(same_action(fast[i], reference[i]))
-              << e.section << " trial " << trial << " robot " << r << " action " << i;
+    // Small worlds keep walls inside most views; the grid's +2 headroom
+    // exercises interior cells too.
+    for (const Topology& world : random_worlds(alg, 3)) {
+      for (int trial = 0; trial < 120; ++trial) {
+        const Configuration config = random_configuration(alg, world, rng);
+        const std::string where = e.section + " on " + world.to_string() + " trial " +
+                                  std::to_string(trial) + ": " + config.to_string();
+        bool any_enabled = false;
+        for (int r = 0; r < config.num_robots(); ++r) {
+          const Snapshot snap = take_snapshot(config, r, alg.phi);
+          const std::vector<Action> reference = naive_enabled_actions(alg, snap);
+          const std::vector<Action> fast = enabled_actions(*compiled, snap);
+          ASSERT_EQ(fast.size(), reference.size()) << where << " robot " << r;
+          for (std::size_t i = 0; i < reference.size(); ++i) {
+            EXPECT_TRUE(same_action(fast[i], reference[i]))
+                << where << " robot " << r << " action " << i;
+          }
+          // The allocation-free fast path must agree with the vector-building
+          // one: same emptiness, and the same first witness.
+          const std::optional<Action> first = first_enabled(*compiled, snap);
+          EXPECT_EQ(first.has_value(), !reference.empty());
+          if (!reference.empty()) {
+            EXPECT_TRUE(same_action(*first, reference.front())) << where << " robot " << r;
+          }
+          EXPECT_EQ(is_enabled(*compiled, config, r), !reference.empty());
+          any_enabled = any_enabled || !reference.empty();
         }
-        // The allocation-free fast path must agree with the vector-building
-        // one: same emptiness, and the same first witness.
-        const std::optional<Action> first = first_enabled(*compiled, snap);
-        EXPECT_EQ(first.has_value(), !reference.empty());
-        if (!reference.empty()) {
-          EXPECT_TRUE(same_action(*first, reference.front()))
-              << e.section << " trial " << trial << " robot " << r;
-        }
-        EXPECT_EQ(is_enabled(*compiled, config, r), !reference.empty());
-        any_enabled = any_enabled || !reference.empty();
+        EXPECT_EQ(is_terminal(*compiled, config), !any_enabled) << where;
       }
-      EXPECT_EQ(is_terminal(*compiled, config), !any_enabled)
-          << e.section << " trial " << trial;
     }
   }
 }

@@ -1,80 +1,103 @@
-// Differential test for the guard-plane prefilter kernels: the dispatching
-// guard_pass_mask(), the portable scalar reference, and (when compiled in
-// and the CPU supports it) the AVX2 kernel must produce bit-identical
-// survivor masks for every Table-1 algorithm over randomized configurations.
-// Also pins the two safety properties the matcher relies on: a lane whose
-// dense guard row matches is never rejected by the prefilter, and padding
-// lanes beyond the real (rule, symmetry) count always reject.
+// Tests for the bit-sliced guard prefilter (GuardGroup, guard_pass_mask)
+// over every Table-1 algorithm and every topology family: each table entry
+// equals a reference computed from CellPattern::matches, a lane whose dense
+// guard row matches is never rejected, and the padding lanes past the real
+// (rule, symmetry) count always reject.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <random>
 
 #include "src/algorithms/registry.hpp"
 #include "src/core/compiled.hpp"
 #include "src/core/matching.hpp"
+#include "tests/random_worlds.hpp"
 
 namespace lumi {
 namespace {
 
-/// Reference verdict for one lane straight from the per-rule AoS planes,
-/// bypassing the SoA layout entirely.
-bool lane_passes_reference(std::span<const CompiledRule> rules, std::size_t nsyms,
-                           std::size_t lane, SnapshotPlanes planes) {
-  if (lane >= rules.size() * nsyms) return false;  // padding: always reject
-  return !rules[lane / nsyms].planes_reject(lane % nsyms, planes);
+/// Whether `pattern` matches some content of a cell in `state` (empty node,
+/// occupied node, wall), decided by CellPattern::matches alone.  An occupied
+/// node is tried with one robot and with the pattern's own multiset.
+bool can_match(const CellPattern& pattern, std::size_t state) {
+  CellContent cell;
+  if (state == 0) return pattern.matches(cell);
+  if (state == 2) {
+    cell.wall = true;
+    return pattern.matches(cell);
+  }
+  cell.robots = ColorMultiset{Color::G};
+  if (pattern.matches(cell)) return true;
+  cell.robots = pattern.multiset();
+  return !cell.robots.empty() && pattern.matches(cell);
 }
 
-bool dense_row_matches(const CompiledRule& rule, std::size_t s, const Snapshot& snap, int ks) {
-  const CellPattern* row = rule.patterns.data() + s * static_cast<std::size_t>(ks);
-  for (int w = 0; w < ks; ++w) {
-    if (!row[w].matches(snap.cells[static_cast<std::size_t>(w)])) return false;
-  }
-  return true;
+std::size_t cell_state(SnapshotPlanes planes, int w) {
+  return ((planes.wall >> w) & 1u) * 2 + ((planes.occupied >> w) & 1u);
+}
+
+const CellPattern* dense_row(std::span<const CompiledRule> rules, std::size_t nsyms,
+                             std::size_t lane, int ks) {
+  return rules[lane / nsyms].patterns.data() + lane % nsyms * static_cast<std::size_t>(ks);
+}
+
+bool pass_bit(const GuardGroup& group, int ks, SnapshotPlanes planes, std::size_t lane) {
+  const std::uint64_t mask = guard_pass_mask(group, ks, planes, lane / kGuardLanesPerWord);
+  return ((mask >> (lane % kGuardLanesPerWord)) & 1u) != 0;
 }
 
 TEST(GuardSimd, VectorScalarAndReferenceAgreeOnAllTable1Entries) {
   std::mt19937 rng(20260808);
-  const bool simd = guard_simd_available();
   for (const algorithms::TableEntry& e : algorithms::table1()) {
     const Algorithm alg = e.make();
     const std::shared_ptr<const CompiledAlgorithm> compiled = CompiledAlgorithm::get(alg);
     const int ks = compiled->kernel_size();
     const std::size_t nsyms = compiled->symmetries().size();
-    const Grid grid(alg.min_rows + 2, alg.min_cols + 2);
-    std::uniform_int_distribution<int> row(0, grid.rows() - 1);
-    std::uniform_int_distribution<int> col(0, grid.cols() - 1);
-    std::uniform_int_distribution<int> color(0, alg.num_colors - 1);
-    for (int trial = 0; trial < 80; ++trial) {
-      std::vector<Robot> robots;
-      for (int i = 0; i < alg.num_robots(); ++i) {
-        robots.push_back(Robot{{row(rng), col(rng)}, static_cast<Color>(color(rng))});
-      }
-      const Configuration config(grid, std::move(robots));
-      for (int r = 0; r < config.num_robots(); ++r) {
-        const Snapshot snap = take_snapshot(config, r, alg.phi);
-        const SnapshotPlanes planes = snapshot_planes(snap, ks);
-        // The hot path reads the masks the snapshot fill accumulated; pin
-        // them against this from-cells recomputation.
-        ASSERT_EQ(snap.planes.occupied, planes.occupied)
-            << e.section << " trial " << trial << " robot " << r;
-        ASSERT_EQ(snap.planes.wall, planes.wall)
-            << e.section << " trial " << trial << " robot " << r;
-        const GuardGroup& group = compiled->guard_group(snap.self_color);
-        const std::span<const CompiledRule> rules = compiled->rules_for(snap.self_color);
-        for (std::size_t base = 0; base < group.lanes; base += kGuardLaneBlock) {
-          const std::uint32_t scalar = guard_pass_mask_scalar(group, planes, base);
-          const std::uint32_t dispatched = guard_pass_mask(group, planes, base);
-          ASSERT_EQ(dispatched, scalar)
-              << e.section << " trial " << trial << " robot " << r << " base " << base;
-          if (simd) {
-            ASSERT_EQ(guard_pass_mask_avx2(group, planes, base), scalar)
-                << e.section << " trial " << trial << " robot " << r << " base " << base;
+    // Every entry of every real lane against the per-pattern reference.
+    for (int c = 0; c < alg.num_colors; ++c) {
+      const GuardGroup& group = compiled->guard_group(static_cast<Color>(c));
+      const std::span<const CompiledRule> rules = compiled->rules_for(static_cast<Color>(c));
+      ASSERT_EQ(group.lanes, rules.size() * nsyms) << e.section;
+      const std::size_t words = (group.lanes + kGuardLanesPerWord - 1) / kGuardLanesPerWord;
+      ASSERT_EQ(group.reject.size(), words * static_cast<std::size_t>(ks) * kCellStates)
+          << e.section;
+      for (std::size_t lane = 0; lane < group.lanes; ++lane) {
+        const CellPattern* row = dense_row(rules, nsyms, lane, ks);
+        const std::size_t word = lane / kGuardLanesPerWord;
+        for (int w = 0; w < ks; ++w) {
+          const std::uint64_t* cell =
+              group.reject.data() + (word * static_cast<std::size_t>(ks) + w) * kCellStates;
+          for (std::size_t state = 0; state < kCellStates; ++state) {
+            ASSERT_EQ(((cell[state] >> (lane % kGuardLanesPerWord)) & 1u) != 0,
+                      !can_match(row[w], state))
+                << e.section << " color " << c << " lane " << lane << " cell " << w
+                << " state " << state;
           }
-          for (std::size_t i = 0; i < kGuardLaneBlock; ++i) {
-            const bool bit = ((scalar >> i) & 1u) != 0;
-            ASSERT_EQ(bit, lane_passes_reference(rules, nsyms, base + i, planes))
-                << e.section << " trial " << trial << " robot " << r << " lane " << (base + i);
+        }
+      }
+    }
+    // Every lane's verdict on real snapshots of every topology family, with
+    // the snapshot's own planes pinned against a from-cells recomputation.
+    for (const Topology& world : random_worlds(alg, 7)) {
+      for (int trial = 0; trial < 40; ++trial) {
+        const Configuration config = random_configuration(alg, world, rng);
+        for (int r = 0; r < config.num_robots(); ++r) {
+          const Snapshot snap = take_snapshot(config, r, alg.phi);
+          const SnapshotPlanes planes = snapshot_planes(snap, ks);
+          ASSERT_EQ(snap.planes.occupied, planes.occupied)
+              << e.section << " " << world.to_string() << " trial " << trial << " robot " << r;
+          ASSERT_EQ(snap.planes.wall, planes.wall)
+              << e.section << " " << world.to_string() << " trial " << trial << " robot " << r;
+          const GuardGroup& group = compiled->guard_group(snap.self_color);
+          const std::span<const CompiledRule> rules = compiled->rules_for(snap.self_color);
+          for (std::size_t lane = 0; lane < group.lanes; ++lane) {
+            const CellPattern* row = dense_row(rules, nsyms, lane, ks);
+            bool reference = true;
+            for (int w = 0; w < ks; ++w) {
+              reference = reference && can_match(row[w], cell_state(planes, w));
+            }
+            ASSERT_EQ(pass_bit(group, ks, planes, lane), reference)
+                << e.section << " " << world.to_string() << " trial " << trial << " robot " << r
+                << " lane " << lane;
           }
         }
       }
@@ -92,49 +115,23 @@ TEST(GuardSimd, PrefilterNeverRejectsAMatchingRow) {
     const std::shared_ptr<const CompiledAlgorithm> compiled = CompiledAlgorithm::get(alg);
     const int ks = compiled->kernel_size();
     const std::size_t nsyms = compiled->symmetries().size();
-    const Grid grid(alg.min_rows, alg.min_cols);
-    std::uniform_int_distribution<int> row(0, grid.rows() - 1);
-    std::uniform_int_distribution<int> col(0, grid.cols() - 1);
-    std::uniform_int_distribution<int> color(0, alg.num_colors - 1);
-    for (int trial = 0; trial < 60; ++trial) {
-      std::vector<Robot> robots;
-      for (int i = 0; i < alg.num_robots(); ++i) {
-        robots.push_back(Robot{{row(rng), col(rng)}, static_cast<Color>(color(rng))});
-      }
-      const Configuration config(grid, std::move(robots));
-      for (int r = 0; r < config.num_robots(); ++r) {
-        const Snapshot snap = take_snapshot(config, r, alg.phi);
-        const SnapshotPlanes planes = snapshot_planes(snap, ks);
-        const GuardGroup& group = compiled->guard_group(snap.self_color);
-        const std::span<const CompiledRule> rules = compiled->rules_for(snap.self_color);
-        for (std::size_t lane = 0; lane < rules.size() * nsyms; ++lane) {
-          if (!dense_row_matches(rules[lane / nsyms], lane % nsyms, snap, ks)) continue;
-          const std::size_t base = (lane / kGuardLaneBlock) * kGuardLaneBlock;
-          const std::uint32_t mask = guard_pass_mask(group, planes, base);
-          ASSERT_NE((mask >> (lane - base)) & 1u, 0u)
-              << e.section << " trial " << trial << " robot " << r << " lane " << lane;
-        }
-      }
-    }
-  }
-}
-
-TEST(GuardSimd, PaddingLanesAlwaysReject) {
-  for (const algorithms::TableEntry& e : algorithms::table1()) {
-    const Algorithm alg = e.make();
-    const std::shared_ptr<const CompiledAlgorithm> compiled = CompiledAlgorithm::get(alg);
-    for (int c = 0; c < alg.num_colors; ++c) {
-      const GuardGroup& group = compiled->guard_group(static_cast<Color>(c));
-      // Even a snapshot whose planes satisfy everything satisfiable (all
-      // kernel cells occupied walls — impossible in practice, maximal for
-      // the planes test) cannot light a padding lane.
-      const SnapshotPlanes saturated{0x1FFF, 0x1FFF};
-      for (std::size_t base = 0; base < group.need_occupied.size();
-           base += kGuardLaneBlock) {
-        const std::uint32_t mask = guard_pass_mask(group, saturated, base);
-        for (std::size_t i = 0; i < kGuardLaneBlock; ++i) {
-          if (base + i >= group.lanes) {
-            EXPECT_EQ((mask >> i) & 1u, 0u) << e.section << " padding lane " << (base + i);
+    for (const Topology& world : random_worlds(alg, 11)) {
+      for (int trial = 0; trial < 60; ++trial) {
+        const Configuration config = random_configuration(alg, world, rng);
+        for (int r = 0; r < config.num_robots(); ++r) {
+          const Snapshot snap = take_snapshot(config, r, alg.phi);
+          const GuardGroup& group = compiled->guard_group(snap.self_color);
+          const std::span<const CompiledRule> rules = compiled->rules_for(snap.self_color);
+          for (std::size_t lane = 0; lane < group.lanes; ++lane) {
+            const CellPattern* row = dense_row(rules, nsyms, lane, ks);
+            bool matches = true;
+            for (int w = 0; w < ks; ++w) {
+              matches = matches && row[w].matches(snap.cells[static_cast<std::size_t>(w)]);
+            }
+            if (!matches) continue;
+            ASSERT_TRUE(pass_bit(group, ks, snap.planes, lane))
+                << e.section << " " << world.to_string() << " trial " << trial << " robot " << r
+                << " lane " << lane;
           }
         }
       }
@@ -142,16 +139,32 @@ TEST(GuardSimd, PaddingLanesAlwaysReject) {
   }
 }
 
-TEST(GuardSimd, RequireSimdEnvPinsTheVectorLeg) {
-  // The CI SIMD leg exports LUMI_REQUIRE_GUARD_SIMD=1 so a silently-scalar
-  // build (missing -mavx2, wrong option) fails loudly instead of passing
-  // the differential vacuously.
-  const char* require = std::getenv("LUMI_REQUIRE_GUARD_SIMD");
-  if (require != nullptr && require[0] == '1') {
-    EXPECT_TRUE(guard_simd_available())
-        << "LUMI_REQUIRE_GUARD_SIMD=1 but the AVX2 guard kernel is unavailable";
-  } else {
-    GTEST_SKIP() << "LUMI_REQUIRE_GUARD_SIMD not set; dispatch choice is free";
+TEST(GuardSimd, PaddingLanesAlwaysReject) {
+  std::mt19937 rng(99);
+  for (const algorithms::TableEntry& e : algorithms::table1()) {
+    const Algorithm alg = e.make();
+    const std::shared_ptr<const CompiledAlgorithm> compiled = CompiledAlgorithm::get(alg);
+    const int ks = compiled->kernel_size();
+    const auto all = static_cast<std::uint16_t>((1u << ks) - 1);
+    // All-empty, all-occupied and all-wall views, then random mixes (a cell
+    // is never both occupied and a wall).
+    std::vector<SnapshotPlanes> views = {{0, 0}, {all, 0}, {0, all}};
+    std::uniform_int_distribution<int> bits(0, all);
+    for (int i = 0; i < 64; ++i) {
+      const auto wall = static_cast<std::uint16_t>(bits(rng));
+      views.push_back({static_cast<std::uint16_t>(bits(rng) & ~wall), wall});
+    }
+    for (int c = 0; c < alg.num_colors; ++c) {
+      const GuardGroup& group = compiled->guard_group(static_cast<Color>(c));
+      const std::size_t words = (group.lanes + kGuardLanesPerWord - 1) / kGuardLanesPerWord;
+      for (const SnapshotPlanes planes : views) {
+        for (std::size_t lane = group.lanes; lane < words * kGuardLanesPerWord; ++lane) {
+          EXPECT_FALSE(pass_bit(group, ks, planes, lane))
+              << e.section << " color " << c << " padding lane " << lane << " occupied "
+              << planes.occupied << " wall " << planes.wall;
+        }
+      }
+    }
   }
 }
 

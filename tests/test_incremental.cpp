@@ -1,9 +1,10 @@
 // Differential tests for the incremental dirty-tracking match engine: over
-// randomized multi-instant executions of every Table-1 algorithm, the
-// tracker's cached verdicts must equal — behaviors, order and (rule, sym)
-// witnesses — both the compiled matcher re-run from scratch and the naive
-// sparse-scan reference, and the engines must produce identical runs with
-// dirty tracking on and off under FSYNC, SSYNC and ASYNC schedulers.
+// randomized multi-instant executions of every Table-1 algorithm on every
+// topology family, the tracker's cached verdicts must equal — behaviors,
+// order and (rule, sym) witnesses — both the compiled matcher re-run from
+// scratch and the naive sparse-scan reference, and the engines must produce
+// identical runs with dirty tracking on and off under FSYNC, SSYNC and ASYNC
+// schedulers.
 #include "src/core/incremental.hpp"
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "src/engine/async_engine.hpp"
 #include "src/engine/runner.hpp"
 #include "src/engine/sync_engine.hpp"
+#include "tests/random_worlds.hpp"
 
 namespace lumi {
 namespace {
@@ -55,27 +57,33 @@ TEST(DirtyTracker, MatchesCompiledAndNaiveOverRandomizedSyncRuns) {
   for (const algorithms::TableEntry& e : algorithms::table1()) {
     const Algorithm alg = e.make();
     const std::shared_ptr<const CompiledAlgorithm> compiled = CompiledAlgorithm::get(alg);
-    const Grid grid(alg.min_rows + 2, alg.min_cols + 2);
-    for (int run = 0; run < 8; ++run) {
-      Configuration config = alg.initial_configuration(grid);
-      DirtyTracker tracker(compiled, config);
-      for (int instant = 0; instant < 60; ++instant) {
-        const std::string context =
-            e.section + " run " + std::to_string(run) + " instant " + std::to_string(instant);
-        expect_tracker_matches_references(alg, *compiled, config, tracker, context.c_str());
-        // SSYNC-style adversary: activate a random nonempty subset of the
-        // enabled robots with a random enabled behavior each, so successive
-        // instants dirty arbitrary neighborhood combinations.
-        std::vector<RobotAction> selected;
-        for (int r = 0; r < config.num_robots(); ++r) {
-          const std::vector<Action>& actions = tracker.actions(r);
-          if (actions.empty()) continue;
-          if (bounded_draw(rng, 2) == 0 && !selected.empty()) continue;
-          const std::uint32_t pick = bounded_draw(rng, static_cast<std::uint32_t>(actions.size()));
-          selected.push_back(RobotAction{r, actions[pick]});
+    // The plain grid starts from the algorithm's own placement; the other
+    // families start from random placements.
+    for (const Topology& world : random_worlds(alg, 5)) {
+      for (int run = 0; run < 8; ++run) {
+        Configuration config = world.plain() ? alg.initial_configuration(world)
+                                             : random_configuration(alg, world, rng);
+        DirtyTracker tracker(compiled, config);
+        for (int instant = 0; instant < 60; ++instant) {
+          const std::string context = e.section + " on " + world.to_string() + " run " +
+                                      std::to_string(run) + " instant " +
+                                      std::to_string(instant);
+          expect_tracker_matches_references(alg, *compiled, config, tracker, context.c_str());
+          // SSYNC-style adversary: activate a random nonempty subset of the
+          // enabled robots with a random enabled behavior each, so successive
+          // instants dirty arbitrary neighborhood combinations.
+          std::vector<RobotAction> selected;
+          for (int r = 0; r < config.num_robots(); ++r) {
+            const std::vector<Action>& actions = tracker.actions(r);
+            if (actions.empty()) continue;
+            if (bounded_draw(rng, 2) == 0 && !selected.empty()) continue;
+            const std::uint32_t pick =
+                bounded_draw(rng, static_cast<std::uint32_t>(actions.size()));
+            selected.push_back(RobotAction{r, actions[pick]});
+          }
+          if (selected.empty()) break;  // terminal configuration
+          apply_sync_step(config, selected);
         }
-        if (selected.empty()) break;  // terminal configuration
-        apply_sync_step(config, selected);
       }
     }
   }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <set>
 #include <stdexcept>
 
@@ -322,6 +323,24 @@ TEST(Resume, CompletedCampaignRerunExecutesNothing) {
   EXPECT_EQ(again.jobs_executed, 0u);
   EXPECT_EQ(again.jobs_skipped, full.jobs.size());
   EXPECT_EQ(again.summary.total, first.summary.total);
+  std::remove(path.c_str());
+}
+
+TEST(Orchestration, CheckpointFlushIntervalMustBeFiniteAndPositive) {
+  // std::chrono's conversion of a non-finite interval to integer ticks is
+  // undefined, so the library refuses one before any job runs.
+  const std::string path = temp_path("flush.ckpt");
+  std::remove(path.c_str());
+  OrchestratorOptions opts;
+  opts.checkpoint_path = path;
+  for (const double bad : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    opts.flush_seconds = bad;
+    EXPECT_THROW(run_orchestrated(expand(small_matrix()), opts), std::invalid_argument) << bad;
+  }
+  // Without a checkpoint nothing is flushed, so the interval is not read.
+  opts.checkpoint_path.clear();
+  EXPECT_NO_THROW(run_orchestrated(expand(small_matrix()), opts));
   std::remove(path.c_str());
 }
 
