@@ -181,6 +181,11 @@ Checkpoint checkpoint_parse(const std::string& text) {
     std::string got;
     if (!(ls >> got) || got != want) fail(lineno, std::string("expected '") + want + "'");
   };
+  // A record ends at its last field: anything but whitespace after it fails.
+  const auto expect_line_end = [&](std::istringstream& ls) {
+    std::string extra;
+    if (ls >> extra) fail(lineno, "unexpected '" + extra + "' after the last field");
+  };
 
   Checkpoint out;
   {
@@ -192,17 +197,20 @@ Checkpoint checkpoint_parse(const std::string& text) {
     if (!(ls >> version) || version != want) {
       fail(lineno, "unsupported version '" + version + "'");
     }
+    expect_line_end(ls);
   }
   {
     std::istringstream ls = next_line();
     expect_keyword(ls, "fingerprint");
     if (!read_fingerprint(ls, out.fingerprint)) fail(lineno, "bad fingerprint");
+    expect_line_end(ls);
   }
   std::size_t num_cells = 0;
   {
     std::istringstream ls = next_line();
     expect_keyword(ls, "cells");
     if (!read_count(ls, num_cells)) fail(lineno, "bad cell count");
+    expect_line_end(ls);
   }
   for (std::size_t i = 0; i < num_cells; ++i) {
     CheckpointCell c;
@@ -215,6 +223,7 @@ Checkpoint checkpoint_parse(const std::string& text) {
           index != i) {
         fail(lineno, "bad cell record");
       }
+      expect_line_end(ls);
       const auto kind = sched_from_name(sched);
       if (!kind) fail(lineno, "unknown scheduler '" + sched + "'");
       c.cell.sched = *kind;
@@ -227,6 +236,7 @@ Checkpoint checkpoint_parse(const std::string& text) {
       if (!(ls >> c.acc.runs >> c.acc.terminated >> c.acc.explored_all >> c.acc.failures)) {
         fail(lineno, "bad accumulator record");
       }
+      expect_line_end(ls);
     }
     for (const char* name : kStatNames) {
       std::istringstream ls = next_line();
@@ -240,6 +250,7 @@ Checkpoint checkpoint_parse(const std::string& text) {
       for (long& h : stat->histogram) {
         if (!(ls >> h)) fail(lineno, "bad histogram");
       }
+      expect_line_end(ls);
     }
     {
       std::istringstream ls = next_line();
@@ -251,6 +262,7 @@ Checkpoint checkpoint_parse(const std::string& text) {
         if (!(ls >> seed)) fail(lineno, "bad seed list");
         c.seeds_done.push_back(seed);
       }
+      expect_line_end(ls);
       for (std::size_t s = 1; s < c.seeds_done.size(); ++s) {
         if (c.seeds_done[s - 1] >= c.seeds_done[s]) fail(lineno, "seeds not strictly ascending");
       }
@@ -260,7 +272,9 @@ Checkpoint checkpoint_parse(const std::string& text) {
   {
     std::istringstream ls = next_line();
     expect_keyword(ls, "end");
+    expect_line_end(ls);
   }
+  if (std::getline(in, line)) fail(lineno + 1, "content after 'end'");
   return out;
 }
 

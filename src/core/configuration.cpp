@@ -29,31 +29,22 @@ void Configuration::move_robot(int i, Vec to) {
   occupancy_[static_cast<std::size_t>(to_index)].add(r.color);
   occupancy_[static_cast<std::size_t>(from_index)].remove(r.color);
   r.pos = grid_.node(to_index);
-  if (journal_enabled_) {
-    journal_.push_back(from_index);
-    journal_.push_back(to_index);
-  }
 }
 
 void Configuration::place_robots(std::span<const Robot> robots) {
   for (const Robot& r : robots) {
     if (!grid_.contains(r.pos)) throw std::invalid_argument("robot placed outside the grid");
   }
-  for (const Robot& r : robots_) {
-    const int idx = grid_.index(r.pos);
-    occupancy_[static_cast<std::size_t>(idx)] = ColorMultiset{};
-    if (journal_enabled_) journal_.push_back(idx);
-  }
+  const auto node = [this](const Robot& r) -> ColorMultiset& {
+    return occupancy_[static_cast<std::size_t>(grid_.index(r.pos))];
+  };
+  for (const Robot& r : robots_) node(r) = {};
   robots_.assign(robots.begin(), robots.end());
   for (Robot& r : robots_) r.pos = grid_.canonicalize(r.pos);
   try {
-    for (const Robot& r : robots_) {
-      const int idx = grid_.index(r.pos);
-      occupancy_[static_cast<std::size_t>(idx)].add(r.color);
-      if (journal_enabled_) journal_.push_back(idx);
-    }
+    for (const Robot& r : robots_) node(r).add(r.color);
   } catch (const std::overflow_error&) {
-    for (const Robot& r : robots_) occupancy_[static_cast<std::size_t>(grid_.index(r.pos))] = {};
+    for (const Robot& r : robots_) node(r) = {};
     robots_.clear();
     throw;
   }

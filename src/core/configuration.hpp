@@ -11,11 +11,6 @@
 // O(robots) scans.  Membership and wraparound funnel through
 // Topology::canonical_index, so a view across a torus seam or into an
 // obstacle wall needs no special casing here.
-//
-// An opt-in change journal records the node indices whose content changed
-// (a recolor touches one node, a move two); the incremental match layer
-// (DirtyTracker) drains it to decide which robots' neighborhoods must be
-// re-matched between instants.
 #pragma once
 
 #include <cstdint>
@@ -62,14 +57,12 @@ class Configuration {
   void set_color(int i, Color c) {
     Robot& r = robots_.at(static_cast<std::size_t>(i));
     if (c == r.color) return;
-    const int node_index = grid_.index(r.pos);
-    ColorMultiset& node = occupancy_[static_cast<std::size_t>(node_index)];
+    ColorMultiset& node = occupancy_[static_cast<std::size_t>(grid_.index(r.pos))];
     // Add before remove: add can throw (per-color counter overflow) and must
     // do so before any state changed; removing a present color cannot throw.
     node.add(c);
     node.remove(r.color);
     r.color = c;
-    if (journal_enabled_) journal_.push_back(node_index);
   }
   /// Moves robot `i` to `to`; throws std::logic_error if `to` is off-world
   /// (outside a bounded axis, or a wall) or not joined to the robot's
@@ -83,7 +76,7 @@ class Configuration {
   /// occupancy table.  Skips move_robot's re-validation (a second
   /// canonical_index walk, the adjacency probe, and a second node()
   /// decode — a measurable share of every micro-run instant, paid per
-  /// applied move); the occupancy and journal updates are identical.
+  /// applied move); the occupancy update is identical.
   void move_robot_stepped(int i, Vec to) {
     Robot& r = robots_[static_cast<std::size_t>(i)];
     const int to_index = grid_.index(to);
@@ -93,10 +86,6 @@ class Configuration {
     occupancy_[static_cast<std::size_t>(to_index)].add(r.color);
     occupancy_[static_cast<std::size_t>(from_index)].remove(r.color);
     r.pos = to;
-    if (journal_enabled_) {
-      journal_.push_back(from_index);
-      journal_.push_back(to_index);
-    }
   }
 
   /// Replaces every robot at once, reusing the robot and occupancy storage,
@@ -106,9 +95,8 @@ class Configuration {
   /// std::invalid_argument and leaves the configuration unchanged, wrapped
   /// placements are stored canonically, and a node stacking more than
   /// kMaxRobotsPerNode robots of one color throws std::overflow_error and
-  /// leaves no robots.  The journal, when enabled, records the nodes of the
-  /// old and the new robots.  `robots` must not view this configuration's
-  /// own robot list.
+  /// leaves no robots.  `robots` must not view this configuration's own
+  /// robot list.
   void place_robots(std::span<const Robot> robots);
 
   /// Multiset of colors on the node `v` designates (empty when unoccupied).
@@ -140,27 +128,11 @@ class Configuration {
   /// Paper-style rendering: "{(0,0):{G}, (0,1):{W}}" sorted by node.
   std::string to_string() const;
 
-  /// Enables (or disables) the change journal, clearing any recorded
-  /// entries.  While enabled, every set_color/move_robot/place_robots
-  /// appends the node indices it touched (duplicates possible; readers
-  /// deduplicate).
-  void set_journal(bool enabled) {
-    journal_enabled_ = enabled;
-    journal_.clear();
-  }
-  bool journal_enabled() const { return journal_enabled_; }
-  /// Node indices whose occupancy/color content changed since the last
-  /// clear_journal(); empty when journaling is disabled.
-  std::span<const int> journal() const { return journal_; }
-  void clear_journal() { journal_.clear(); }
-
  private:
   Topology grid_;
   std::vector<Robot> robots_;
   /// Node-indexed color multisets, maintained incrementally.
   std::vector<ColorMultiset> occupancy_;
-  bool journal_enabled_ = false;
-  std::vector<int> journal_;
 };
 
 /// Convenience: builds a configuration from (node, colors...) placements.

@@ -3,15 +3,15 @@
 // The paper's algorithms move at most a handful of robots per instant, so
 // between instants most robots observe an unchanged neighborhood and their
 // match verdict — including the (rule, sym) witness — cannot have changed.
-// The tracker drains the Configuration's change journal, maps each changed
-// node to the robots whose ViewKernel footprint covers it (the kernel is
-// symmetric, so robot r sees node d iff r sits on d + o for some kernel
-// offset o), and re-runs the compiled matcher only for those dirty robots.
+// A myopic robot sees exactly the nodes within L1 distance phi of it (each
+// axis measured the shorter way round where it wraps), so the tracker diffs
+// the robots against its copy from the last refresh, takes the old and new
+// node of every robot that moved or recolored as the changed nodes, and
+// re-runs the compiled matcher only for the robots within phi of one.
 // Clean robots reuse the cached verdict verbatim, which keeps the engines'
 // per-instant cost proportional to the activity, not the robot count.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -29,20 +29,15 @@ class DirtyTracker {
     long recomputed = 0;
   };
 
-  /// Attaches to `config` — enabling its change journal — and computes the
-  /// initial verdict of every robot.  The configuration must outlive the
-  /// tracker, stay at the same address, and only be mutated through
-  /// set_color/move_robot while attached (so every change is journaled).
-  DirtyTracker(std::shared_ptr<const CompiledAlgorithm> alg, Configuration& config);
-  ~DirtyTracker();
-
-  DirtyTracker(const DirtyTracker&) = delete;
-  DirtyTracker& operator=(const DirtyTracker&) = delete;
+  /// Watches `config` and computes the initial verdict of every robot.  The
+  /// configuration must outlive the tracker, stay at the same address and
+  /// keep its robot count.
+  DirtyTracker(std::shared_ptr<const CompiledAlgorithm> alg, const Configuration& config);
 
   /// Brings every cached verdict up to date with the configuration by
-  /// re-matching exactly the robots whose view covers a journaled node,
-  /// then clears the journal.  All snapshots of one refresh share a single
-  /// inline buffer.
+  /// re-matching exactly the robots within phi of a node whose content
+  /// changed since the last refresh.  All snapshots of one refresh share a
+  /// single inline buffer.
   void refresh();
 
   /// Distinct enabled behaviors of robot `i`, identical (order, witnesses)
@@ -60,23 +55,12 @@ class DirtyTracker {
  private:
   void recompute(int robot);
 
-  void list_insert(int node, int robot) {
-    next_[static_cast<std::size_t>(robot)] = head_[static_cast<std::size_t>(node)];
-    head_[static_cast<std::size_t>(node)] = robot;
-  }
-  void list_remove(int node, int robot);
-
   std::shared_ptr<const CompiledAlgorithm> alg_;
-  Configuration* config_;
+  const Configuration* config_;
   std::vector<std::vector<Action>> actions_;  ///< cached verdict per robot
-  std::vector<Vec> positions_;                ///< robot positions at last refresh
-  /// Node -> robots-there reverse map (per positions_) as intrusive singly
-  /// linked lists: head_[node] is the first robot on the node (-1 = none),
-  /// next_[robot] the next one.  Allocation-free to build and update.
-  std::vector<int> head_;
-  std::vector<int> next_;
-  std::vector<std::uint8_t> dirty_;  ///< per-refresh scratch
-  Snapshot scratch_;                 ///< shared inline snapshot buffer
+  std::vector<Robot> last_;                   ///< the robots at the last refresh
+  std::vector<Vec> changed_;                  ///< per-refresh scratch
+  Snapshot scratch_;                          ///< shared inline snapshot buffer
   Counters counters_;
 };
 

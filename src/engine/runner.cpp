@@ -68,7 +68,7 @@ RunResult run_sync(const CellPlan& plan, SyncScheduler& sched, const RunOptions&
   if (opts.record_trace) result.trace.push(config, "initial");
   if (opts.recorder != nullptr) opts.recorder->begin_run(config);
 
-  std::vector<RobotAction> selected;  // reused across instants via select_into
+  std::vector<RobotAction> selected;  // one selection buffer reused across instants
   for (long step = 0; step < opts.max_steps; ++step) {
     const std::vector<std::vector<Action>>& enabled = [&]() -> const auto& {
       if (tracker) {
@@ -93,7 +93,7 @@ RunResult run_sync(const CellPlan& plan, SyncScheduler& sched, const RunOptions&
     // so the hot loop carries no per-instant any-enabled scan — that scan
     // was a measurable share of a whole micro-run.  The scan below runs once
     // per run, to tell a terminal configuration from a scheduler bug.
-    sched.select_into(config, enabled, selected);
+    sched.select(enabled, selected);
     if (selected.empty()) {
       bool any_enabled = false;
       for (const auto& actions : enabled) any_enabled = any_enabled || !actions.empty();

@@ -110,6 +110,9 @@ class Reader {
 
   std::string raw_line() { return next_line("<line>"); }
 
+  /// True when every line has been read.
+  bool at_end() { return !peeked_ && in_.peek() == std::istringstream::traits_type::eof(); }
+
   int lineno() const { return lineno_; }
 
  private:
@@ -511,6 +514,7 @@ Recording parse_recording(Reader& in) {
   }
   rec.final_robots = parse_robots(in, to_count(in.expect("final"), "final"), "final");
   if (!in.expect("end").empty()) throw std::runtime_error("malformed end marker");
+  if (!in.at_end()) throw std::runtime_error("content after end marker: '" + in.raw_line() + "'");
   return rec;
 }
 

@@ -11,16 +11,8 @@ Action pick_action(rng::Engine& rng, const std::vector<Action>& actions) {
 }
 }  // namespace
 
-std::vector<RobotAction> FsyncScheduler::select(
-    const Configuration& config, const std::vector<std::vector<Action>>& enabled) {
-  std::vector<RobotAction> out;
-  select_into(config, enabled, out);
-  return out;
-}
-
-void FsyncScheduler::select_into(const Configuration&,
-                                 const std::vector<std::vector<Action>>& enabled,
-                                 std::vector<RobotAction>& out) {
+void FsyncScheduler::select(const std::vector<std::vector<Action>>& enabled,
+                            std::vector<RobotAction>& out) {
   out.clear();
   out.reserve(enabled.size());  // no-op once the engine's buffer has warmed up
   for (std::size_t i = 0; i < enabled.size(); ++i) {
@@ -31,16 +23,8 @@ void FsyncScheduler::select_into(const Configuration&,
 
 SsyncRandomScheduler::SsyncRandomScheduler(unsigned seed) : rng_(seed) {}
 
-std::vector<RobotAction> SsyncRandomScheduler::select(
-    const Configuration& config, const std::vector<std::vector<Action>>& enabled) {
-  std::vector<RobotAction> out;
-  select_into(config, enabled, out);
-  return out;
-}
-
-void SsyncRandomScheduler::select_into(const Configuration&,
-                                       const std::vector<std::vector<Action>>& enabled,
-                                       std::vector<RobotAction>& out) {
+void SsyncRandomScheduler::select(const std::vector<std::vector<Action>>& enabled,
+                                  std::vector<RobotAction>& out) {
   candidates_.clear();
   candidates_.reserve(enabled.size());
   for (std::size_t i = 0; i < enabled.size(); ++i) {
@@ -63,16 +47,8 @@ void SsyncRandomScheduler::select_into(const Configuration&,
   }
 }
 
-std::vector<RobotAction> SsyncRoundRobinScheduler::select(
-    const Configuration& config, const std::vector<std::vector<Action>>& enabled) {
-  std::vector<RobotAction> out;
-  select_into(config, enabled, out);
-  return out;
-}
-
-void SsyncRoundRobinScheduler::select_into(const Configuration&,
-                                           const std::vector<std::vector<Action>>& enabled,
-                                           std::vector<RobotAction>& out) {
+void SsyncRoundRobinScheduler::select(const std::vector<std::vector<Action>>& enabled,
+                                      std::vector<RobotAction>& out) {
   out.clear();
   const int n = static_cast<int>(enabled.size());
   for (int step = 0; step < n; ++step) {

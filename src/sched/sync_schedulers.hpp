@@ -17,26 +17,17 @@ class SyncScheduler {
  public:
   virtual ~SyncScheduler() = default;
   /// `enabled[i]` holds robot i's distinct enabled behaviors (empty when
-  /// disabled).  Must return a nonempty selection of (robot, action) pairs
-  /// with actions drawn from the corresponding `enabled` entries.  When no
-  /// robot is enabled, must return an empty selection without consuming any
+  /// disabled).  Replaces the contents of `out` with a nonempty selection of
+  /// (robot, action) pairs with actions drawn from the corresponding
+  /// `enabled` entries; the engines pass one buffer reused across instants.
+  /// When no robot is enabled, must leave `out` empty without consuming any
   /// randomness or mutating fairness state: the engines detect termination
   /// from the empty selection (they no longer pre-scan `enabled` every
   /// instant — that scan was a measurable share of a micro-run), so every
   /// scheduler sees exactly one call with an all-disabled table, at the
   /// terminating instant.
-  virtual std::vector<RobotAction> select(
-      const Configuration& config, const std::vector<std::vector<Action>>& enabled) = 0;
-  /// Allocation-reusing variant of select(): replaces the contents of `out`
-  /// with this instant's selection.  The engines call this in their instant
-  /// loop with one hoisted buffer, so per-instant selections stop costing a
-  /// heap round-trip; the default forwards to select(), and overriders must
-  /// make the two spellings draw identically.
-  virtual void select_into(const Configuration& config,
-                           const std::vector<std::vector<Action>>& enabled,
-                           std::vector<RobotAction>& out) {
-    out = select(config, enabled);
-  }
+  virtual void select(const std::vector<std::vector<Action>>& enabled,
+                      std::vector<RobotAction>& out) = 0;
   virtual std::string name() const = 0;
 };
 
@@ -44,10 +35,8 @@ class SyncScheduler {
 /// behaviors of one robot the first is taken.
 class FsyncScheduler final : public SyncScheduler {
  public:
-  std::vector<RobotAction> select(const Configuration&,
-                                  const std::vector<std::vector<Action>>&) override;
-  void select_into(const Configuration&, const std::vector<std::vector<Action>>&,
-                   std::vector<RobotAction>& out) override;
+  void select(const std::vector<std::vector<Action>>& enabled,
+              std::vector<RobotAction>& out) override;
   std::string name() const override { return "fsync"; }
 };
 
@@ -56,10 +45,8 @@ class FsyncScheduler final : public SyncScheduler {
 class SsyncRandomScheduler final : public SyncScheduler {
  public:
   explicit SsyncRandomScheduler(unsigned seed);
-  std::vector<RobotAction> select(const Configuration&,
-                                  const std::vector<std::vector<Action>>&) override;
-  void select_into(const Configuration&, const std::vector<std::vector<Action>>&,
-                   std::vector<RobotAction>& out) override;
+  void select(const std::vector<std::vector<Action>>& enabled,
+              std::vector<RobotAction>& out) override;
   std::string name() const override { return "ssync-random"; }
 
  private:
@@ -72,10 +59,8 @@ class SsyncRandomScheduler final : public SyncScheduler {
 class SsyncRoundRobinScheduler final : public SyncScheduler {
  public:
   SsyncRoundRobinScheduler() = default;
-  std::vector<RobotAction> select(const Configuration&,
-                                  const std::vector<std::vector<Action>>&) override;
-  void select_into(const Configuration&, const std::vector<std::vector<Action>>&,
-                   std::vector<RobotAction>& out) override;
+  void select(const std::vector<std::vector<Action>>& enabled,
+              std::vector<RobotAction>& out) override;
   std::string name() const override { return "ssync-round-robin"; }
 
  private:

@@ -87,14 +87,12 @@ TEST(Configuration, MoveValidatesAdjacency) {
 TEST(Configuration, SteppedMoveMatchesValidatedMove) {
   // The engines apply moves through move_robot_stepped with targets produced
   // by Topology::step; this pins it to the validated move_robot — same
-  // position, occupancy, and journal — on a bounded grid and across a torus
-  // seam (where the canonical target differs from from+dir).
+  // position and occupancy — on a bounded grid and across a torus seam
+  // (where the canonical target differs from from+dir).
   for (const std::string& spec : {std::string("grid"), std::string("torus")}) {
     const Topology topo = make_topology(spec, 2, 3);
     Configuration a(topo, {Robot{{0, 0}, Color::G}, Robot{{1, 2}, Color::W}});
     Configuration b = a;
-    a.set_journal(true);
-    b.set_journal(true);
     for (const auto& [robot, dir] : std::initializer_list<std::pair<int, Dir>>{
              {0, Dir::East}, {1, Dir::East}, {0, Dir::South}, {1, Dir::North}}) {
       const std::optional<Vec> to = topo.step(a.robot(robot).pos, dir);
@@ -103,10 +101,6 @@ TEST(Configuration, SteppedMoveMatchesValidatedMove) {
       b.move_robot_stepped(robot, *to);
       EXPECT_EQ(a.robot(robot).pos, b.robot(robot).pos) << spec;
       EXPECT_TRUE(a.same_placement(b)) << spec;
-      ASSERT_EQ(a.journal().size(), b.journal().size()) << spec;
-      for (std::size_t i = 0; i < a.journal().size(); ++i) {
-        EXPECT_EQ(a.journal()[i], b.journal()[i]) << spec;
-      }
     }
   }
 }
@@ -169,7 +163,6 @@ TEST(Configuration, PlaceRobotsMatchesAFreshConfiguration) {
     std::vector<Robot> next = {Robot{{1, 1}, Color::B}, Robot{{1, 1}, Color::W},
                                Robot{{0, 3}, Color::G}};
     if (spec == "torus") next.push_back(Robot{{3, 4}, Color::G});  // wraps to (0,0)
-    c.set_journal(true);
     c.place_robots(next);
     const Configuration fresh(topo, next);
     ASSERT_EQ(c.num_robots(), fresh.num_robots()) << spec;
@@ -180,10 +173,6 @@ TEST(Configuration, PlaceRobotsMatchesAFreshConfiguration) {
           << spec << " node " << i;
     }
     EXPECT_EQ(c.to_string(), fresh.to_string()) << spec;
-    // The journal names the old robots' nodes, then the new ones.
-    std::vector<int> expected = {topo.index({0, 0}), topo.index({2, 3})};
-    for (const Robot& r : fresh.robots()) expected.push_back(topo.index(r.pos));
-    EXPECT_EQ(std::vector<int>(c.journal().begin(), c.journal().end()), expected) << spec;
   }
 }
 

@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
+#include <span>
 
 #include "src/algorithms/registry.hpp"
 #include "src/campaign/campaign.hpp"
@@ -27,11 +29,40 @@ bool same_action(const Action& a, const Action& b) {
          a.sym == b.sym;
 }
 
-/// Asserts tracker == compiled-from-scratch == naive for every robot.
+/// The kernel-footprint rule, kept as the reference for the tracker's dirty
+/// set: robot r is re-matched iff some kernel offset o makes pos_r + o
+/// designate the old or the new node of a robot that changed since `before`.
+long reference_recomputed(const Configuration& config, std::span<const Robot> before, int phi) {
+  const Topology& topo = config.topology();
+  std::vector<int> changed;
+  for (int c = 0; c < config.num_robots(); ++c) {
+    const Robot& was = before[static_cast<std::size_t>(c)];
+    if (was == config.robot(c)) continue;
+    changed.push_back(topo.index(was.pos));
+    changed.push_back(topo.index(config.robot(c).pos));
+  }
+  const std::span<const Vec> kernel = ViewKernel::get(phi).offsets();
+  long dirty = 0;
+  for (const Robot& r : config.robots()) {
+    dirty += std::any_of(kernel.begin(), kernel.end(), [&](Vec o) {
+      return std::find(changed.begin(), changed.end(), topo.canonical_index(r.pos + o)) !=
+             changed.end();
+    });
+  }
+  return dirty;
+}
+
+/// Refreshes the tracker and asserts that it re-matched exactly the robots
+/// the reference rule names for the changes since `before`, and that
+/// tracker == compiled-from-scratch == naive for every robot.
 void expect_tracker_matches_references(const Algorithm& alg, const CompiledAlgorithm& compiled,
-                                       const Configuration& config, DirtyTracker& tracker,
-                                       const char* context) {
+                                       const Configuration& config, std::span<const Robot> before,
+                                       DirtyTracker& tracker, const char* context) {
+  const long recomputed = tracker.counters().recomputed;
   tracker.refresh();
+  ASSERT_EQ(tracker.counters().recomputed - recomputed,
+            reference_recomputed(config, before, alg.phi))
+      << context;
   const std::vector<std::vector<Action>> fresh = all_enabled_actions(compiled, config);
   ASSERT_EQ(tracker.all_actions().size(), fresh.size()) << context;
   for (int r = 0; r < config.num_robots(); ++r) {
@@ -64,11 +95,14 @@ TEST(DirtyTracker, MatchesCompiledAndNaiveOverRandomizedSyncRuns) {
         Configuration config = world.plain() ? alg.initial_configuration(world)
                                              : random_configuration(alg, world, rng);
         DirtyTracker tracker(compiled, config);
+        std::vector<Robot> before(config.robots().begin(), config.robots().end());
         for (int instant = 0; instant < 60; ++instant) {
           const std::string context = e.section + " on " + world.to_string() + " run " +
                                       std::to_string(run) + " instant " +
                                       std::to_string(instant);
-          expect_tracker_matches_references(alg, *compiled, config, tracker, context.c_str());
+          expect_tracker_matches_references(alg, *compiled, config, before, tracker,
+                                            context.c_str());
+          before.assign(config.robots().begin(), config.robots().end());
           // SSYNC-style adversary: activate a random nonempty subset of the
           // enabled robots with a random enabled behavior each, so successive
           // instants dirty arbitrary neighborhood combinations.
@@ -102,43 +136,49 @@ TEST(DirtyTracker, ReusesVerdictsWhenNothingChanged) {
 }
 
 TEST(DirtyTracker, RecomputesOnlyNeighborhoodsCoveringTheChange) {
-  // Two robots far apart on a long grid: recoloring one must not re-match
-  // the other.
+  // Robot 0 starts on (0, 0), recolors, then takes one step (west across
+  // the seam where the columns wrap).  Exactly the robots within phi = 2 of
+  // its old or new node are re-matched, each axis measured the shorter way
+  // round where it wraps: a robot one step across a seam is, a robot three
+  // or more steps away is not.
   const Algorithm alg = algorithms::entry("4.3.1").make();
   ASSERT_EQ(alg.phi, 2);
-  Configuration config = make_configuration(
-      Grid(4, 12), {{{0, 0}, {Color::G}}, {{0, 11}, {Color::W}}});
-  DirtyTracker tracker(CompiledAlgorithm::get(alg), config);
-  const long base = tracker.counters().recomputed;
-  config.set_color(0, Color::B);
-  tracker.refresh();
-  EXPECT_EQ(tracker.counters().recomputed, base + 1);  // only robot 0 re-matched
-}
-
-TEST(DirtyTracker, JournalIsOptInAndDrained) {
-  const Algorithm alg = algorithms::entry("4.3.1").make();
-  Configuration config = alg.initial_configuration(Grid(4, 5));
-  EXPECT_FALSE(config.journal_enabled());
-  config.set_color(0, Color::B);
-  EXPECT_TRUE(config.journal().empty());  // disabled: nothing recorded
-  {
+  struct Case {
+    Topology world;
+    std::vector<Vec> others;  ///< robots 1.., all white
+    Dir step;
+    long recolor_recomputes;
+    long step_recomputes;
+  };
+  const Case cases[] = {
+      // (0,2) is 2 away, (1,2) is 3 away until robot 0 steps to (0,1).
+      {Grid(4, 12), {{0, 2}, {1, 2}, {0, 11}}, Dir::East, 2, 3},
+      // (0,11), (5,0) and (5,11) sit across a seam; (3,0) is 3 away both
+      // ways round, (0,9) until robot 0 steps onto (0,11).
+      {Topology::torus(6, 12), {{0, 11}, {5, 0}, {3, 0}, {0, 9}, {5, 11}}, Dir::West, 4, 5},
+      // (0,11) and (0,10) sit across the seam; (0,9) is 3 away until robot
+      // 0 steps onto (0,11), and (0,3) stays 3 away.
+      {Topology::ring(1, 12), {{0, 11}, {0, 10}, {0, 9}, {0, 3}}, Dir::West, 3, 4},
+  };
+  for (const Case& c : cases) {
+    std::vector<Robot> robots = {Robot{{0, 0}, Color::G}};
+    for (const Vec v : c.others) robots.push_back(Robot{v, Color::W});
+    Configuration config(c.world, robots);
     DirtyTracker tracker(CompiledAlgorithm::get(alg), config);
-    EXPECT_TRUE(config.journal_enabled());
-    const Vec before = config.robot(0).pos;
-    Vec to = before;
-    for (Dir d : kAllDirs) {
-      if (config.grid().contains(before + dir_vec(d))) {
-        to = before + dir_vec(d);
-        break;
-      }
-    }
-    ASSERT_FALSE(to == before);
-    config.move_robot(0, to);
-    EXPECT_EQ(config.journal().size(), 2u);  // from + to
+    const std::string where = c.world.to_string();
+    long recomputed = tracker.counters().recomputed;
+    ASSERT_EQ(recomputed, config.num_robots()) << where;
+    config.set_color(0, Color::B);
     tracker.refresh();
-    EXPECT_TRUE(config.journal().empty());  // refresh drains the journal
+    EXPECT_EQ(tracker.counters().recomputed - recomputed, c.recolor_recomputes) << where;
+    recomputed = tracker.counters().recomputed;
+    config.move_robot(0, *c.world.step({0, 0}, c.step));
+    tracker.refresh();
+    EXPECT_EQ(tracker.counters().recomputed - recomputed, c.step_recomputes) << where;
+    EXPECT_EQ(tracker.counters().reused + tracker.counters().recomputed,
+              3L * config.num_robots())
+        << where;
   }
-  EXPECT_FALSE(config.journal_enabled());  // detach restores the default
 }
 
 TEST(IncrementalEngines, AsyncEngineIdenticalWithTrackingOnAndOff) {

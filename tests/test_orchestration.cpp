@@ -134,6 +134,12 @@ TEST(Checkpoint, MalformedInputsThrow) {
                                  "-" + fp.substr(0, 15), fp + "0"}) {
     expect_rejected(swap_line("fingerprint " + fp, "fingerprint " + bad));
   }
+  // Content past a record's last field, and any line after 'end'.
+  expect_rejected(swap_line(cells, cells + " junk"));
+  expect_rejected(swap_line("acc 0 0 0 0", "acc 0 0 0 0 99"));
+  expect_rejected(swap_line("seeds 0", "seeds 0 7"));
+  expect_rejected(swap_line("end", "end junk"));
+  expect_rejected(good + "end\n");
 }
 
 TEST(Checkpoint, NonHexEscapesAreRejected) {

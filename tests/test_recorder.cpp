@@ -6,7 +6,8 @@
 //    certified witness, and a budget-limited *terminating* run is diagnosed
 //    `budget-exhausted`, never `cycle` (the FSYNC hash-revisit proof and its
 //    contrapositive);
-//  - format: serialize/parse round-trips, load failure modes;
+//  - format: serialize/parse round-trips, load failure modes, and the
+//    verdicts on the fixture recordings in ci/fixtures/check_recording;
 //  - ring semantics: the newest `capacity` events survive;
 //  - campaign capture: capture_anomaly writes a replayable file.
 #include <gtest/gtest.h>
@@ -15,8 +16,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/algorithms/registry.hpp"
 #include "src/campaign/campaign.hpp"
@@ -255,6 +259,52 @@ TEST(RecorderFormat, LoadMalformedFileThrows) {
   for (const std::string& bad :
        {std::string("zz"), std::string(hash) + "zz", "0x" + std::string(hash, 14)}) {
     expect_rejected(swap_line(cycle + hash, cycle + bad));
+  }
+  // Any line after the end marker.
+  expect_rejected(good + "end\n");
+  expect_rejected(good + "\n");
+}
+
+TEST(CheckRecording, SelfTest) {
+  // The fixture recordings, judged the way run_doctor --verify judges a
+  // capture: the format's one reader (recording_parse), then replay.
+  const std::string dir = std::string(LUMI_SOURCE_DIR) + "/ci/fixtures/check_recording/";
+  for (const char* name : {"good.lumirec", "good_cycle.lumirec"}) {
+    const std::optional<obs::Recording> rec = obs::recording_load(dir + name);
+    ASSERT_TRUE(rec.has_value()) << name;
+    const ReplayCheck check = replay_recording(*rec);
+    EXPECT_TRUE(check.identical())
+        << name << ": " << (check.divergences.empty() ? "" : check.divergences.front());
+  }
+  // Malformed files fail to parse, naming the line; so does good.lumirec
+  // with one more line after its end marker.
+  const std::string good = slurp(dir + "good.lumirec");
+  const std::string past_end = std::to_string(std::count(good.begin(), good.end(), '\n') + 1);
+  const std::pair<std::string, std::string> malformed[] = {
+      {slurp(dir + "bad_magic.lumirec"), "line 1: expected 'lumirec ...'"},
+      {slurp(dir + "bad_order.lumirec"), "line 6: expected 'dims ...'"},
+      {slurp(dir + "bad_event.lumirec"), "line 35: unknown event kind 'teleport'"},
+      {slurp(dir + "bad_diagnosis.lumirec"), "line 32: unknown diagnosis 'gremlins'"},
+      {slurp(dir + "bad_truncated.lumirec"), "line 21: unexpected end of file"},
+      {good + "end\n", "line " + past_end + ": content after end marker"},
+  };
+  for (const auto& [text, want] : malformed) {
+    try {
+      (void)obs::recording_parse(text);
+      ADD_FAILURE() << "accepted, wanted " << want;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos) << e.what();
+    }
+  }
+  // Well-formed files whose outcome contradicts their own run diverge on
+  // replay.
+  for (const char* name : {"bad_cycle_mismatch.lumirec", "bad_failure_mismatch.lumirec"}) {
+    const std::optional<obs::Recording> rec = obs::recording_load(dir + name);
+    ASSERT_TRUE(rec.has_value()) << name;
+    const std::vector<std::string> divergences = replay_recording(*rec).divergences;
+    EXPECT_TRUE(std::any_of(divergences.begin(), divergences.end(), [](const std::string& d) {
+      return d.starts_with("diagnosis:") || d.starts_with("outcome:");
+    })) << name;
   }
 }
 

@@ -14,7 +14,8 @@ TEST(FsyncScheduler, SelectsEveryEnabledRobot) {
   const Configuration c = alg.initial_configuration(grid);
   const auto enabled = all_enabled_actions(alg, c);
   FsyncScheduler sched;
-  const auto selected = sched.select(c, enabled);
+  std::vector<RobotAction> selected;
+  sched.select(enabled, selected);
   EXPECT_EQ(selected.size(), 2u);
 }
 
@@ -24,8 +25,9 @@ TEST(SsyncRandomScheduler, SelectsNonemptySubsetOfEnabled) {
   const Configuration c = alg.initial_configuration(grid);
   const auto enabled = all_enabled_actions(alg, c);
   SsyncRandomScheduler sched(7);
+  std::vector<RobotAction> selected;
   for (int i = 0; i < 20; ++i) {
-    const auto selected = sched.select(c, enabled);
+    sched.select(enabled, selected);
     ASSERT_FALSE(selected.empty());
     for (const RobotAction& ra : selected) {
       EXPECT_FALSE(enabled[static_cast<std::size_t>(ra.robot)].empty());
@@ -39,8 +41,10 @@ TEST(SsyncRoundRobin, RotatesThroughRobots) {
   const Configuration c = alg.initial_configuration(grid);
   const auto enabled = all_enabled_actions(alg, c);
   SsyncRoundRobinScheduler sched;
-  const auto first = sched.select(c, enabled);
-  const auto second = sched.select(c, enabled);
+  std::vector<RobotAction> first;
+  std::vector<RobotAction> second;
+  sched.select(enabled, first);
+  sched.select(enabled, second);
   ASSERT_EQ(first.size(), 1u);
   ASSERT_EQ(second.size(), 1u);
   EXPECT_NE(first[0].robot, second[0].robot);
@@ -106,13 +110,13 @@ TEST(PortableRng, FisherYatesGoldenPermutation) {
 TEST(SsyncRandomScheduler, GoldenDecisionSequence) {
   // 4 robots, one enabled behavior each: the selection is exactly the coin
   // pattern of seed 9 (resampling empty rounds), independent of platform.
+  // One buffer across rounds, as run_sync passes it.
   const std::vector<std::vector<Action>> enabled(4, std::vector<Action>{Action{}});
-  const Algorithm alg = algorithms::algorithm6();
-  const Configuration c = alg.initial_configuration(Grid(2, 4));
   SsyncRandomScheduler sched(9);
   const std::vector<std::vector<int>> want = {{2}, {3}, {2}, {0, 1, 3}};
+  std::vector<RobotAction> selected;
   for (const std::vector<int>& round : want) {
-    const auto selected = sched.select(c, enabled);
+    sched.select(enabled, selected);
     ASSERT_EQ(selected.size(), round.size());
     for (std::size_t i = 0; i < round.size(); ++i) EXPECT_EQ(selected[i].robot, round[i]);
   }
