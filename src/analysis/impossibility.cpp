@@ -1,6 +1,7 @@
 #include "src/analysis/impossibility.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <unordered_map>
 #include <vector>
@@ -21,11 +22,14 @@ struct GameState {
   std::vector<Robot> robots;
 };
 
+/// Four bytes of node index and one of color per robot: the whole index, so
+/// distinct states never share a key on grids of more than 256 nodes.
 std::string encode(const Grid& grid, const GameState& s) {
   std::string out;
-  out.reserve(s.robots.size() * 2);
+  out.reserve(s.robots.size() * 5);
   for (const Robot& r : s.robots) {
-    out.push_back(static_cast<char>(grid.index(r.pos)));
+    const auto index = static_cast<std::uint32_t>(grid.index(r.pos));
+    for (int shift = 0; shift < 32; shift += 8) out.push_back(static_cast<char>(index >> shift));
     out.push_back(static_cast<char>(r.color));
   }
   return out;

@@ -3,8 +3,8 @@
 // Every statistic here is order-independent (exact integer sums, min/max,
 // log2 histograms), so adding runs in any order, or merging shard
 // accumulators, yields bit-identical campaign summaries regardless of
-// thread count or stealing order — the property tests/test_campaign.cpp
-// pins down.
+// thread count or of which thread ran which job — the property
+// tests/test_campaign.cpp pins down.
 #pragma once
 
 #include <array>

@@ -1,6 +1,6 @@
 // Declarative scenario campaigns: a matrix of algorithms (registry sections)
 // x bounding-box dimensions x topologies x schedulers x seeds is expanded
-// into jobs, executed on a work-stealing thread pool, and aggregated into
+// into jobs, executed in batches by worker threads, and aggregated into
 // per-cell and per-campaign summaries.  For fixed seeds the summary is
 // identical for any worker count.  Topology specs ("grid", "torus",
 // "holes", "obstacles:15:7", ... — src/topo/topology.hpp) are a first-class
@@ -168,8 +168,8 @@ RunResult run_cell(const Cell& cell, unsigned seed, const RunOptions& options);
 /// failure string records it (campaigns never abort on a single bad job).
 RunResult run_cell_guarded(const Cell& cell, unsigned seed, const RunOptions& options);
 
-/// How many same-cell jobs one pool task should execute back-to-back when
-/// the batch size is left automatic: sized so per-task work stays roughly
+/// How many same-cell jobs one batch should execute back-to-back when the
+/// batch size is left automatic: sized so per-batch work stays roughly
 /// constant — tiny worlds (where building the cell's plan rivals the
 /// simulation) get large batches, big worlds run singly.  Async schedulers
 /// spend ~3 events per robot cycle, so their runs weigh more at equal area.

@@ -84,11 +84,12 @@ void serialize_stat(std::ostringstream& out, const char* name, const LongStat& s
   throw std::runtime_error("checkpoint: line " + std::to_string(line) + ": " + what);
 }
 
-/// Reads a record count: decimal digits only, so "-1" cannot wrap to
-/// SIZE_MAX.  A count only frames the records that follow and never sizes
-/// an allocation: containers grow as records parse, so an oversized count
-/// fails at the first missing record.
-bool read_count(std::istringstream& ls, std::size_t& n) {
+/// Reads a record count or a seed: decimal digits only, so "-1" cannot wrap
+/// to SIZE_MAX or UINT_MAX.  A count only frames the records that follow and
+/// never sizes an allocation: containers grow as records parse, so an
+/// oversized count fails at the first missing record.
+template <class T>
+bool read_digits(std::istringstream& ls, T& n) {
   std::string tok;
   if (!(ls >> tok)) return false;
   const char* end = tok.data() + tok.size();
@@ -209,7 +210,7 @@ Checkpoint checkpoint_parse(const std::string& text) {
   {
     std::istringstream ls = next_line();
     expect_keyword(ls, "cells");
-    if (!read_count(ls, num_cells)) fail(lineno, "bad cell count");
+    if (!read_digits(ls, num_cells)) fail(lineno, "bad cell count");
     expect_line_end(ls);
   }
   for (std::size_t i = 0; i < num_cells; ++i) {
@@ -237,6 +238,11 @@ Checkpoint checkpoint_parse(const std::string& text) {
         fail(lineno, "bad accumulator record");
       }
       expect_line_end(ls);
+      const auto within_runs = [&c](long n) { return 0 <= n && n <= c.acc.runs; };
+      if (!within_runs(c.acc.terminated) || !within_runs(c.acc.explored_all) ||
+          !within_runs(c.acc.failures)) {
+        fail(lineno, "accumulator counts outside [0, runs]");
+      }
     }
     for (const char* name : kStatNames) {
       std::istringstream ls = next_line();
@@ -247,19 +253,31 @@ Checkpoint checkpoint_parse(const std::string& text) {
       if (!(ls >> stat->count >> stat->sum >> stat->sum_squares >> stat->min >> stat->max)) {
         fail(lineno, "bad stat record");
       }
+      // What LongStat::add and merge keep true, so every written checkpoint
+      // passes: one sample per run, each in exactly one bucket, an empty
+      // stream all zeros, and 0 <= min <= max (percentile() clamps to them).
+      if (stat->count != c.acc.runs) fail(lineno, "stat count differs from the cell's runs");
+      const bool all_zero = stat->sum == 0 && stat->sum_squares == 0 && stat->min == 0 &&
+                            stat->max == 0;
+      const bool fields_ok = stat->count == 0 ? all_zero : 0 <= stat->min && stat->min <= stat->max;
+      if (!fields_ok) fail(lineno, "stat min/max/sums impossible for its count");
+      long unbucketed = stat->count;
       for (long& h : stat->histogram) {
         if (!(ls >> h)) fail(lineno, "bad histogram");
+        if (h < 0 || h > unbucketed) fail(lineno, "histogram buckets exceed the count");
+        unbucketed -= h;
       }
+      if (unbucketed != 0) fail(lineno, "histogram buckets fall short of the count");
       expect_line_end(ls);
     }
     {
       std::istringstream ls = next_line();
       expect_keyword(ls, "seeds");
       std::size_t k = 0;
-      if (!read_count(ls, k)) fail(lineno, "bad seed count");
+      if (!read_digits(ls, k)) fail(lineno, "bad seed count");
       for (std::size_t s = 0; s < k; ++s) {
         unsigned seed = 0;
-        if (!(ls >> seed)) fail(lineno, "bad seed list");
+        if (!read_digits(ls, seed)) fail(lineno, "bad seed list");
         c.seeds_done.push_back(seed);
       }
       expect_line_end(ls);

@@ -9,9 +9,9 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "src/campaign/thread_pool.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace_event.hpp"
 
@@ -210,10 +210,10 @@ OrchestratorReport run_orchestrated(const Expansion& expansion,
   }
   std::mutex state_mu;
   std::uint64_t version = 0;
+  const unsigned threads =
+      options.threads != 0 ? options.threads : std::max(1u, std::thread::hardware_concurrency());
 
   {
-    ThreadPool pool(options.threads);
-    report.summary.threads = pool.size();
     CheckpointFlusher flusher(options.checkpoint_path, options.flush_seconds, state_mu, ck,
                               version);
     // Anomaly-capture claim counter: workers race fetch_add for the K capture
@@ -222,13 +222,15 @@ OrchestratorReport run_orchestrated(const Expansion& expansion,
     // lumi-lint: allow(relaxed-atomic)
     std::atomic<std::size_t> capture_claims{0};
 
-    // Submits the jobs, honoring the per-invocation cap.  Consecutive
-    // same-cell jobs are grouped into one pool task of at most
-    // `options.batch` items (0 = automatic); each item is still recorded in
-    // the checkpoint individually, so the cap, the flusher and kill/resume
-    // see single jobs exactly as before.  Returns false once the cap cut
-    // submission short.
+    // Runs one pass; false when the per-invocation cap cut it short.  The
+    // jobs are cut into batches of consecutive same-cell jobs, at most
+    // `options.batch` items each (0 = automatic), before any of them runs;
+    // each item is still recorded in the checkpoint individually, so the cap,
+    // the flusher and kill/resume see single jobs.  The calling thread and up
+    // to `threads - 1` helpers, never more threads than batches, then claim
+    // batches in list order and join.
     const auto run_jobs = [&](const std::vector<Job>& jobs, bool base_pass) {
+      std::vector<std::pair<std::size_t, std::vector<unsigned>>> batches;  // (cell, seeds)
       bool capped = false;
       std::size_t i = 0;
       while (i < jobs.size() && !capped) {
@@ -250,9 +252,13 @@ OrchestratorReport run_orchestrated(const Expansion& expansion,
           seeds.push_back(jobs[i].seed);
           ++i;
         }
-        if (seeds.empty()) continue;
-        pool.submit([&expansion, &ck, &state_mu, &version, &base, &obs_cells_done, &options,
-                     &capture_claims, cell_index, seeds = std::move(seeds)] {
+        if (!seeds.empty()) batches.emplace_back(cell_index, std::move(seeds));
+      }
+      std::atomic<std::size_t> next{0};
+      const auto claim_batches = [&] {
+        for (std::size_t b = next++; b < batches.size(); b = next++) {
+          const std::size_t cell_index = batches[b].first;
+          const std::vector<unsigned>& seeds = batches[b].second;
           run_cell_batch(expansion.cells[cell_index], seeds, expansion.options,
                          [&](std::size_t item, const RunResult& result) {
                            {
@@ -279,13 +285,19 @@ OrchestratorReport run_orchestrated(const Expansion& expansion,
                                              expansion.options, options.record_anomalies);
                            }
                          });
-        });
-      }
+        }
+      };
+      {
+        std::vector<std::jthread> helpers;
+        for (std::size_t t = 1; t < std::min<std::size_t>(threads, batches.size()); ++t) {
+          helpers.emplace_back(claim_batches);
+        }
+        claim_batches();
+      }  // the helpers join here
       return !capped;
     };
 
     report.complete = run_jobs(base_jobs, /*base_pass=*/true);
-    pool.wait_idle();
 
     if (report.complete && options.adaptive.enabled) {
       for (unsigned round = 0; round < kMaxEscalationRounds; ++round) {
@@ -297,7 +309,6 @@ OrchestratorReport run_orchestrated(const Expansion& expansion,
         if (jobs.empty()) break;
         ++report.escalation_rounds;
         report.complete = run_jobs(jobs, /*base_pass=*/false);
-        pool.wait_idle();
         if (!report.complete) break;
       }
     }
@@ -307,7 +318,6 @@ OrchestratorReport run_orchestrated(const Expansion& expansion,
     }
   }
 
-  const unsigned threads = report.summary.threads;
   report.summary = checkpoint_summary(ck);
   report.summary.threads = threads;
   report.summary.wall_seconds =  // diagnostic, as above

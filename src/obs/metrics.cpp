@@ -7,34 +7,17 @@
 
 namespace lumi::obs {
 
-namespace detail {
-
-std::size_t shard_index() noexcept {
-  // Round-robin slot assignment, once per thread.  The counter orders
-  // nothing: any interleaving of assignments just maps threads onto slots
-  // differently, and every slot is summed at snapshot.
-  // lumi-lint: allow(relaxed-atomic)
-  static std::atomic<unsigned> next{0};
-  // lumi-lint: allow(relaxed-atomic) — see above; assignment only
-  thread_local const unsigned idx = next.fetch_add(1, std::memory_order_relaxed);
-  return idx % kMetricShards;
-}
-
-}  // namespace detail
-
 void Counter::add(long long v) noexcept {
   // Telemetry counter: no other memory is published under it, and snapshot()
   // only needs an eventually-complete sum.  lumi-lint: allow(relaxed-atomic)
   if (!enabled_->load(std::memory_order_relaxed)) return;
   // lumi-lint: allow(relaxed-atomic) — same proof as the enabled check
-  slots_[detail::shard_index()].v.fetch_add(v, std::memory_order_relaxed);
+  v_.fetch_add(v, std::memory_order_relaxed);
 }
 
 long long Counter::value() const noexcept {
-  long long total = 0;
-  // lumi-lint: allow(relaxed-atomic) — snapshot read of telemetry slots
-  for (const detail::Slot& s : slots_) total += s.v.load(std::memory_order_relaxed);
-  return total;
+  // lumi-lint: allow(relaxed-atomic) — snapshot read
+  return v_.load(std::memory_order_relaxed);
 }
 
 void Gauge::set(long long v) noexcept {
@@ -61,57 +44,46 @@ long long Gauge::value() const noexcept {
 }
 
 Histogram::Histogram(const std::atomic<bool>* enabled, std::vector<long long> bounds)
-    : bounds_(std::move(bounds)), enabled_(enabled) {
+    : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1), enabled_(enabled) {
   if (bounds_.empty()) throw std::invalid_argument("Histogram: bounds must be non-empty");
   if (!std::is_sorted(bounds_.begin(), bounds_.end()) ||
       std::adjacent_find(bounds_.begin(), bounds_.end()) != bounds_.end()) {
     throw std::invalid_argument("Histogram: bounds must be strictly ascending");
   }
-  for (HistSlot& s : slots_) {
-    s.buckets = std::vector<std::atomic<long long>>(bounds_.size() + 1);
-  }
 }
 
 void Histogram::record(long long sample) noexcept {
-  // Telemetry histogram: slots carry no ordering obligations; snapshot sums
-  // whatever has landed.  lumi-lint: allow(relaxed-atomic)
+  // Telemetry histogram: the atomics carry no ordering obligations; snapshot
+  // reads whatever has landed.  lumi-lint: allow(relaxed-atomic)
   if (!enabled_->load(std::memory_order_relaxed)) return;
   const std::size_t bucket = static_cast<std::size_t>(
       std::lower_bound(bounds_.begin(), bounds_.end(), sample) - bounds_.begin());
-  HistSlot& slot = slots_[detail::shard_index()];
   // lumi-lint: allow(relaxed-atomic) — same proof
-  slot.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
+  buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
   // lumi-lint: allow(relaxed-atomic) — same proof
-  slot.sum.fetch_add(sample, std::memory_order_relaxed);
+  sum_.fetch_add(sample, std::memory_order_relaxed);
 }
 
 std::vector<long long> Histogram::counts() const {
-  std::vector<long long> out(bounds_.size() + 1, 0);
-  for (const HistSlot& s : slots_) {
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      // lumi-lint: allow(relaxed-atomic) — snapshot read
-      out[i] += s.buckets[i].load(std::memory_order_relaxed);
-    }
+  std::vector<long long> out;
+  out.reserve(buckets_.size());
+  for (const std::atomic<long long>& b : buckets_) {
+    // lumi-lint: allow(relaxed-atomic) — snapshot read
+    out.push_back(b.load(std::memory_order_relaxed));
   }
   return out;
 }
 
 long long Histogram::count() const noexcept {
   long long total = 0;
-  for (const HistSlot& s : slots_) {
-    for (const std::atomic<long long>& b : s.buckets) {
-      // lumi-lint: allow(relaxed-atomic) — snapshot read
-      total += b.load(std::memory_order_relaxed);
-    }
-  }
+  // lumi-lint: allow(relaxed-atomic) — snapshot read
+  for (const std::atomic<long long>& b : buckets_) total += b.load(std::memory_order_relaxed);
   return total;
 }
 
 long long Histogram::sum() const noexcept {
-  long long total = 0;
   // lumi-lint: allow(relaxed-atomic) — snapshot read
-  for (const HistSlot& s : slots_) total += s.sum.load(std::memory_order_relaxed);
-  return total;
+  return sum_.load(std::memory_order_relaxed);
 }
 
 long long MetricsSnapshot::counter_or(const std::string& name, long long fallback) const {
@@ -187,21 +159,15 @@ MetricsSnapshot Registry::snapshot() const {
 
 void Registry::reset() {
   std::lock_guard lock(mu_);
-  for (auto& [name, c] : counters_) {
-    // lumi-lint: allow(relaxed-atomic) — reset of idle telemetry slots
-    for (detail::Slot& s : c->slots_) s.v.store(0, std::memory_order_relaxed);
-  }
-  for (auto& [name, g] : gauges_) {
-    // lumi-lint: allow(relaxed-atomic) — same as above
-    g->v_.store(0, std::memory_order_relaxed);
-  }
+  // lumi-lint: allow(relaxed-atomic) — reset of idle telemetry values
+  for (auto& [name, c] : counters_) c->v_.store(0, std::memory_order_relaxed);
+  // lumi-lint: allow(relaxed-atomic) — same as above
+  for (auto& [name, g] : gauges_) g->v_.store(0, std::memory_order_relaxed);
   for (auto& [name, h] : histograms_) {
-    for (Histogram::HistSlot& s : h->slots_) {
-      // lumi-lint: allow(relaxed-atomic) — same as above
-      for (std::atomic<long long>& b : s.buckets) b.store(0, std::memory_order_relaxed);
-      // lumi-lint: allow(relaxed-atomic) — same as above
-      s.sum.store(0, std::memory_order_relaxed);
-    }
+    // lumi-lint: allow(relaxed-atomic) — same as above
+    for (std::atomic<long long>& b : h->buckets_) b.store(0, std::memory_order_relaxed);
+    // lumi-lint: allow(relaxed-atomic) — same as above
+    h->sum_.store(0, std::memory_order_relaxed);
   }
 }
 

@@ -6,20 +6,17 @@
 //    feed results.  The lumi-lint rule `obs-isolation` bans obs:: symbols
 //    from report rendering and checkpoint serialization, and the telemetry
 //    on/off byte-identity of reports is pinned by tests/test_obs_identity.cpp.
-//  - No hot-path locks: counters and histograms write per-thread sharded,
-//    cache-line-padded atomic slots with relaxed ordering; aggregation
-//    happens only at snapshot() time.  Gauges are a single atomic (their
-//    writers are rare).
+//  - No hot-path locks: every counter, gauge and histogram bucket is one
+//    atomic written with relaxed ordering.  Writers add a few times per job
+//    or batch, never per instant, so threads sharing an atomic contend far
+//    less than the runs they count cost.
 //  - Near-zero when disabled: every recording operation is a relaxed bool
 //    load and a predicted branch when the registry is disabled (the
 //    default).  Handle lookup (by name, under a mutex) is a cold path done
 //    once per call site via a function-local static.
 #pragma once
 
-#include <array>
 #include <atomic>
-#include <cstddef>
-#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -28,34 +25,18 @@
 
 namespace lumi::obs {
 
-/// Per-thread slot count for sharded metrics.  Threads hash onto slots via a
-/// process-wide thread index, so up to kMetricShards writers proceed with no
-/// cache-line contention at all; beyond that they share slots (still correct,
-/// just contended).
-inline constexpr std::size_t kMetricShards = 16;
-
-namespace detail {
-/// Slot index of the calling thread (assigned once per thread, round-robin).
-std::size_t shard_index() noexcept;
-
-struct alignas(64) Slot {
-  std::atomic<long long> v{0};
-};
-}  // namespace detail
-
-/// Monotonic counter.  add() is wait-free: one relaxed fetch_add on the
-/// calling thread's slot.
+/// Monotonic counter.  add() is wait-free: one relaxed fetch_add.
 class Counter {
  public:
   void add(long long v = 1) noexcept;
-  /// Sum over all slots (snapshot-path only; concurrent adds may or may not
-  /// be included — telemetry, not synchronization).
+  /// Current total (snapshot path; concurrent adds may or may not be
+  /// included — telemetry, not synchronization).
   long long value() const noexcept;
 
  private:
   friend class Registry;
   explicit Counter(const std::atomic<bool>* enabled) : enabled_(enabled) {}
-  std::array<detail::Slot, kMetricShards> slots_;
+  std::atomic<long long> v_{0};
   const std::atomic<bool>* enabled_;
 };
 
@@ -77,8 +58,8 @@ class Gauge {
 
 /// Fixed-bucket histogram: bucket i counts samples <= bounds[i] (first
 /// matching bound wins); one overflow bucket past the last bound.  The
-/// bounds are fixed at creation and shared by every thread; counts and the
-/// exact sample sum are sharded like Counter.
+/// bounds are fixed at creation; each bucket count and the exact sample sum
+/// is one atomic, like Counter.
 class Histogram {
  public:
   void record(long long sample) noexcept;
@@ -92,12 +73,9 @@ class Histogram {
  private:
   friend class Registry;
   Histogram(const std::atomic<bool>* enabled, std::vector<long long> bounds);
-  struct alignas(64) HistSlot {
-    std::vector<std::atomic<long long>> buckets;
-    std::atomic<long long> sum{0};
-  };
   std::vector<long long> bounds_;
-  std::array<HistSlot, kMetricShards> slots_;
+  std::vector<std::atomic<long long>> buckets_;  ///< bounds_.size() + 1
+  std::atomic<long long> sum_{0};
   const std::atomic<bool>* enabled_;
 };
 
@@ -126,7 +104,7 @@ struct MetricsSnapshot {
   long long counter_or(const std::string& name, long long fallback = 0) const;
   long long gauge_or(const std::string& name, long long fallback = 0) const;
   /// Sum of every counter whose name starts with `prefix` and ends with
-  /// `suffix` (e.g. per-worker pool counters).
+  /// `suffix` (e.g. a family of per-index counters).
   long long counter_prefix_sum(const std::string& prefix, const std::string& suffix) const;
 };
 
@@ -139,7 +117,7 @@ class Registry {
 
   /// Telemetry master switch; disabled (the default) makes every recording
   /// operation a load+branch.  Flip only while no instrumented code runs
-  /// (CLIs flip it before starting the pool).
+  /// (CLIs flip it before starting a campaign).
   void set_enabled(bool enabled) { enabled_.store(enabled, std::memory_order_release); }
   bool enabled() const { return enabled_.load(std::memory_order_acquire); }
 
@@ -151,12 +129,11 @@ class Registry {
   Histogram& histogram(const std::string& name, std::vector<long long> bounds);
 
   /// Aggregates every metric.  Safe to call while recorders run: counts are
-  /// per-slot atomic reads (telemetry-consistent, not a linearization).
+  /// atomic reads (telemetry-consistent, not a linearization).
   MetricsSnapshot snapshot() const;
 
-  /// Zeroes every slot of every metric (names stay registered).  For tests
-  /// and benches that need per-phase deltas; call only while no instrumented
-  /// code runs.
+  /// Zeroes every metric (names stay registered).  For tests and benches
+  /// that need per-phase deltas; call only while no instrumented code runs.
   void reset();
 
  private:

@@ -86,16 +86,10 @@ void ProgressMeter::render_line() {
   const long long remaining =
       std::max<long long>(0, static_cast<long long>(options_.total_jobs) - done);
   const double eta = rate > 0 ? static_cast<double>(remaining) / rate : 0.0;
-  const long long executed = s.counter_prefix_sum("pool.worker.", ".executed");
-  const long long stolen = s.counter_prefix_sum("pool.worker.", ".stolen");
-  const double steal_pct =
-      executed > 0 ? 100.0 * static_cast<double>(stolen) / static_cast<double>(executed) : 0.0;
 
   char line[256];
-  int n = std::snprintf(line, sizeof(line),
-                        "cells %lld/%zu  jobs %lld/%zu  %.1f jobs/s  ETA %.0fs  steal %.0f%%",
-                        cells, options_.total_cells, done, options_.total_jobs, rate,
-                        rate > 0 ? eta : 0.0, steal_pct);
+  int n = std::snprintf(line, sizeof(line), "cells %lld/%zu  jobs %lld/%zu  %.1f jobs/s  ETA %.0fs",
+                        cells, options_.total_cells, done, options_.total_jobs, rate, eta);
   if (n < 0) return;
   const std::size_t len = static_cast<std::size_t>(n);
   // Overwrite the previous line fully: pad with spaces when the new one is

@@ -1,7 +1,7 @@
 // Live campaign progress meter: a sampling thread that periodically reads
 // the metrics registry (campaign.jobs_done, campaign.cells_done, resume
-// skips, pool steal counters) and redraws one stderr status line —
-// cells done/total, jobs done/total, jobs/s, ETA and the work-steal ratio.
+// skips) and redraws one stderr status line — cells done/total, jobs
+// done/total, jobs/s and ETA.
 //
 // Strictly a telemetry *consumer*: it never touches campaign state, so it
 // cannot perturb results (the obs-isolation contract).  The CLIs construct

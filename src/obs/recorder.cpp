@@ -167,6 +167,17 @@ long long to_ll(const std::string& s, const char* what) {
   }
 }
 
+/// An integer that must fit `T` (int for dims and coordinates, unsigned for
+/// the seed): narrowing an out-of-range value would replay a different run.
+template <class T>
+T to_fitting(const std::string& s, const char* what) {
+  const long long v = to_ll(s, what);
+  if (!std::in_range<T>(v)) {
+    throw std::runtime_error(std::string("'") + s + "' in " + what + " is out of range");
+  }
+  return static_cast<T>(v);
+}
+
 /// A record count.  It only frames the records that follow and never sizes
 /// an allocation: vectors grow as records parse, so an oversized count fails
 /// at the first missing record.
@@ -215,8 +226,7 @@ std::vector<Robot> parse_robots(Reader& in, long long n, const char* what) {
     if (to_ll(f[0], what) != i) {
       throw std::runtime_error(std::string(what) + " robots out of order");
     }
-    robots.push_back(Robot{.pos = {static_cast<int>(to_ll(f[1], what)),
-                                   static_cast<int>(to_ll(f[2], what))},
+    robots.push_back(Robot{.pos = {to_fitting<int>(f[1], what), to_fitting<int>(f[2], what)},
                            .color = color_from_letter(single_char(f[3], what))});
   }
   return robots;
@@ -444,12 +454,12 @@ Recording parse_recording(Reader& in) {
   {
     const auto f = fields(in.expect("scheduler"), 2, "scheduler");
     rec.prov.scheduler = decode_token(f[0]);
-    rec.prov.seed = static_cast<unsigned>(to_ll(f[1], "scheduler seed"));
+    rec.prov.seed = to_fitting<unsigned>(f[1], "scheduler seed");
   }
   {
     const auto f = fields(in.expect("dims"), 2, "dims");
-    rec.prov.rows = static_cast<int>(to_ll(f[0], "dims"));
-    rec.prov.cols = static_cast<int>(to_ll(f[1], "dims"));
+    rec.prov.rows = to_fitting<int>(f[0], "dims");
+    rec.prov.cols = to_fitting<int>(f[1], "dims");
   }
   rec.prov.topo_spec = decode_token(in.expect("topology"));
   rec.prov.max_steps = static_cast<long>(to_ll(in.expect("max-steps"), "max-steps"));

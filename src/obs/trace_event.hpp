@@ -21,14 +21,14 @@
 namespace lumi::obs {
 
 /// Collects trace events and writes them as one JSON document.  Thread-safe:
-/// events append under a mutex (span granularity is pool tasks and batches,
-/// not per-instant work, so contention is negligible next to the runs the
-/// spans measure).
+/// events append under a mutex (span granularity is batches and checkpoint
+/// flushes, not per-instant work, so contention is negligible next to the
+/// runs the spans measure).
 class TraceWriter {
  public:
   explicit TraceWriter(std::string path);
   /// Uninstalls itself if still installed (spans in flight must have ended:
-  /// callers flush after joining their pool).
+  /// callers flush after the campaign has joined its threads).
   ~TraceWriter();
 
   TraceWriter(const TraceWriter&) = delete;
@@ -45,14 +45,14 @@ class TraceWriter {
                     const char* arg_key, long long arg_value);
 
   /// Serializes every buffered event to `path` as trace-event JSON; false on
-  /// I/O failure.  Call after all spans have ended (pool joined).
+  /// I/O failure.  Call after all spans have ended (campaign returned).
   bool flush();
 
   std::size_t event_count() const;
 
   /// Installs `w` as the process-wide span sink (nullptr uninstalls).  Flip
-  /// only while no spans are live — CLIs install before starting the pool
-  /// and uninstall after joining it.
+  /// only while no spans are live — CLIs install before starting a
+  /// campaign and uninstall after it returns.
   static void install(TraceWriter* w);
   static TraceWriter* current();
 

@@ -1,6 +1,7 @@
 #include "src/topo/topology.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "src/core/rng.hpp"
 
@@ -19,6 +20,16 @@ bool parse_uint(const std::string& s, long long& out) {
   }
   out = v;
   return true;
+}
+
+/// Node indices are int, so a box holds at most INT_MAX nodes.  Callers check
+/// before any per-node allocation, which would be gigabytes for such a box.
+void check_dimensions(int rows, int cols) {
+  if (rows < 1 || cols < 1) throw std::invalid_argument("Grid dimensions must be positive");
+  if (static_cast<long long>(rows) * cols > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument("Grid dimensions " + std::to_string(rows) + "x" +
+                                std::to_string(cols) + " exceed INT_MAX nodes");
+  }
 }
 
 /// Table-1 initial placements all live in the northwest 3x3 block (positions
@@ -50,7 +61,7 @@ Topology::Topology(Family family, int rows, int cols, bool wrap_rows, bool wrap_
       plain_(!wrap_rows && !wrap_cols && wall.empty()),
       wall_(std::move(wall)),
       spec_(lumi::to_string(family)) {  // qualified: the member to_string() shadows it
-  if (rows < 1 || cols < 1) throw std::invalid_argument("Grid dimensions must be positive");
+  check_dimensions(rows, cols);
   if (!wall_.empty() && wall_.size() != static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols)) {
     throw std::invalid_argument("Topology: wall mask size mismatch");
   }
@@ -87,6 +98,7 @@ Topology Topology::torus(int rows, int cols) {
 
 Topology Topology::with_hole(int rows, int cols, int hole_row, int hole_col, int hole_rows,
                              int hole_cols) {
+  check_dimensions(rows, cols);
   if (hole_rows < 1 || hole_cols < 1) {
     throw std::invalid_argument("with_hole: hole dimensions must be positive");
   }
@@ -123,7 +135,7 @@ Topology Topology::with_hole(int rows, int cols) {
 }
 
 Topology Topology::obstacles(int rows, int cols, int percent, unsigned seed) {
-  if (rows < 1 || cols < 1) throw std::invalid_argument("Grid dimensions must be positive");
+  check_dimensions(rows, cols);
   if (percent < 0 || percent > 90) {
     throw std::invalid_argument("obstacles: percent must be in [0, 90]");
   }

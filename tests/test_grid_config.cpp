@@ -26,6 +26,12 @@ TEST(Grid, BasicProperties) {
 TEST(Grid, RejectsDegenerateDimensions) {
   EXPECT_THROW(Grid(0, 3), std::invalid_argument);
   EXPECT_THROW(Grid(3, 0), std::invalid_argument);
+  // Node indices are int: a box of more than INT_MAX nodes is refused
+  // before rows * cols can overflow.
+  EXPECT_THROW(Grid(50000, 50000), std::invalid_argument);
+  EXPECT_THROW(Grid(2147483647, 2), std::invalid_argument);
+  EXPECT_THROW(Topology::ring(50000, 50000), std::invalid_argument);
+  EXPECT_THROW(Topology::torus(50000, 50000), std::invalid_argument);
 }
 
 TEST(Grid, IndexRoundTrip) {

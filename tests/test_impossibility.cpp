@@ -60,6 +60,10 @@ TEST(Impossibility, SingleNodeQuery) {
   const AdversaryResult r = check_protected_node(alg, Grid(5, 5), {2, 2});
   EXPECT_TRUE(r.adversary_wins) << r.summary;
   EXPECT_TRUE(r.via_terminal || r.via_fair_cycle);
+  // 270 nodes: a state key that kept only the low byte of the node index
+  // merged distinct states and explored 768.
+  const AdversaryResult wide = check_protected_node(alg, Grid(3, 90), {2, 89});
+  EXPECT_EQ(wide.states, 803);
 }
 
 TEST(Impossibility, InitialOccupationIsNotDefendable) {

@@ -11,7 +11,7 @@ namespace lumi::obs {
 namespace {
 
 /// Enables the global registry for one test and restores the disabled
-/// default (plus zeroed slots) on the way out, so tests cannot leak counts
+/// default (plus zeroed values) on the way out, so tests cannot leak counts
 /// into each other.
 struct EnabledRegistry {
   EnabledRegistry() {
@@ -40,8 +40,8 @@ TEST(Metrics, ConcurrentIncrementsSumExactly) {
     });
   }
   for (std::thread& w : workers) w.join();
-  // Relaxed per-slot adds still sum exactly once all writers joined: every
-  // increment lands in some slot, and value() reads them all.
+  // Relaxed adds still sum exactly once all writers joined: every increment
+  // lands, in some order, and value() reads the total.
   EXPECT_EQ(c.value(), static_cast<long long>(kThreads) * kPerThread);
 }
 
@@ -136,17 +136,17 @@ TEST(Metrics, HandlesAreStablePerName) {
 
 TEST(Metrics, SnapshotHelpersAndPrefixSum) {
   EnabledRegistry reg;
-  reg->counter("pool.worker.0.stolen").add(3);
-  reg->counter("pool.worker.1.stolen").add(4);
-  reg->counter("pool.worker.1.executed").add(9);
+  reg->counter("test.worker.0.hits").add(3);
+  reg->counter("test.worker.1.hits").add(4);
+  reg->counter("test.worker.1.misses").add(9);
   reg->gauge("test.g").set(17);
   const MetricsSnapshot s = reg->snapshot();
-  EXPECT_EQ(s.counter_or("pool.worker.0.stolen"), 3);
+  EXPECT_EQ(s.counter_or("test.worker.0.hits"), 3);
   EXPECT_EQ(s.counter_or("absent", -5), -5);
   EXPECT_EQ(s.gauge_or("test.g"), 17);
-  EXPECT_EQ(s.counter_prefix_sum("pool.worker.", ".stolen"), 7);
-  EXPECT_EQ(s.counter_prefix_sum("pool.worker.", ".executed"), 9);
-  EXPECT_EQ(s.counter_prefix_sum("nope.", ".stolen"), 0);
+  EXPECT_EQ(s.counter_prefix_sum("test.worker.", ".hits"), 7);
+  EXPECT_EQ(s.counter_prefix_sum("test.worker.", ".misses"), 9);
+  EXPECT_EQ(s.counter_prefix_sum("nope.", ".hits"), 0);
 }
 
 TEST(Metrics, ResetZeroesButKeepsRegistrations) {

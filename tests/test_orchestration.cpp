@@ -9,6 +9,7 @@
 #include <limits>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "src/campaign/checkpoint.hpp"
 #include "src/campaign/shard.hpp"
@@ -140,6 +141,45 @@ TEST(Checkpoint, MalformedInputsThrow) {
   expect_rejected(swap_line("seeds 0", "seeds 0 7"));
   expect_rejected(swap_line("end", "end junk"));
   expect_rejected(good + "end\n");
+  // A negative seed would wrap into unsigned.
+  expect_rejected(swap_line("seeds 0", "seeds 1 -1"));
+
+  // Accumulators that no run could produce, each an edit of a cell holding
+  // two runs (which parses back unchanged).
+  Checkpoint ran = make_checkpoint(e);
+  RunResult result;
+  result.terminated = result.explored_all = true;
+  result.visited.assign(4, true);
+  for (const long n : {5, 9}) {
+    result.stats.instants = n;
+    ran.cells[0].acc.add(result);
+  }
+  ran.cells[0].seeds_done = {7, 8};
+  EXPECT_EQ(checkpoint_parse(checkpoint_serialize(ran)), ran);
+  using Edit = void (*)(CellAccumulator&);
+  const Edit edits[] = {
+      [](CellAccumulator& a) { a.terminated = 3; },  // outcome counts outside [0, runs]
+      [](CellAccumulator& a) { a.explored_all = 3; },
+      [](CellAccumulator& a) { a.failures = 3; },
+      [](CellAccumulator& a) { a.failures = -1; },
+      [](CellAccumulator& a) { std::swap(a.instants.min, a.instants.max); },
+      [](CellAccumulator& a) { a.instants.min = -1; },
+      [](CellAccumulator& a) { a.instants.count = 3; },       // one sample per run
+      [](CellAccumulator& a) { ++a.instants.histogram[0]; },  // buckets past the count
+      [](CellAccumulator& a) {
+        a.instants.histogram[0] = -1;  // buckets that sum to the count through a negative one
+        ++a.instants.histogram[3];
+      },
+      [](CellAccumulator& a) {
+        a = {};  // an empty stream is all zeros
+        a.instants.max = 5;
+      },
+  };
+  for (const Edit edit : edits) {
+    Checkpoint bad = ran;
+    edit(bad.cells[0].acc);
+    expect_rejected(checkpoint_serialize(bad));
+  }
 }
 
 TEST(Checkpoint, NonHexEscapesAreRejected) {

@@ -260,6 +260,17 @@ TEST(RecorderFormat, LoadMalformedFileThrows) {
        {std::string("zz"), std::string(hash) + "zz", "0x" + std::string(hash, 14)}) {
     expect_rejected(swap_line(cycle + hash, cycle + bad));
   }
+  // Dims and coordinates outside int and seeds outside unsigned: narrowed, they replay another run.
+  const std::string dims = "dims " + std::to_string(rec.prov.rows) + ' ';
+  expect_rejected(swap_line(dims + std::to_string(rec.prov.cols), "dims 4294967297 5"));
+  const std::string sched = "scheduler " + rec.prov.scheduler + ' ';
+  for (const char* seed : {"99999999999", "-1"}) {
+    expect_rejected(swap_line(sched + std::to_string(rec.prov.seed), sched + seed));
+  }
+  const Robot& first = rec.initial.front();
+  const std::string rest = ' ' + std::to_string(first.pos.col) + ' ' + color_letter(first.color);
+  expect_rejected(swap_line("robot 0 " + std::to_string(first.pos.row) + rest,
+                            "robot 0 4294967296" + rest));
   // Any line after the end marker.
   expect_rejected(good + "end\n");
   expect_rejected(good + "\n");

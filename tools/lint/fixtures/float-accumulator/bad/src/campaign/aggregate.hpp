@@ -1,5 +1,5 @@
 // Fixture: a float field in a mergeable accumulator — partial sums would
-// merge to different bytes depending on stealing order.
+// merge to different bytes depending on which thread ran which job.
 #pragma once
 struct CellAccumulator {
   long runs = 0;

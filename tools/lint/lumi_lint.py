@@ -124,9 +124,10 @@ RULES = [
         message=(
             "mergeable accumulator state must be exact integers: float "
             "addition is not associative, so per-thread partial sums would "
-            "merge to different bytes depending on stealing order.  Derive "
-            "floating-point statistics at render time from the exact sums "
-            "(LongStat::mean/variance are member functions, not fields)"
+            "merge to different bytes depending on which thread ran which "
+            "job.  Derive floating-point statistics at render time from the "
+            "exact sums (LongStat::mean/variance are member functions, not "
+            "fields)"
         ),
     ),
     Rule(
@@ -137,8 +138,8 @@ RULES = [
         message=(
             "a detached thread outlives scoped ownership and cannot be "
             "joined before results are read — every thread in this codebase "
-            "is joined (ThreadPool drains on destruction, CheckpointFlusher "
-            "joins in finish())"
+            "is joined (run_orchestrated joins its batch workers before a "
+            "pass returns, CheckpointFlusher joins in finish())"
         ),
     ),
     Rule(
@@ -172,7 +173,7 @@ RULES = [
             "stay free of obs:: symbols so metrics/tracing can be toggled "
             "without any risk to byte-identity (the on/off differential is "
             "pinned by tests/test_obs_identity.cpp).  Instrument the callers "
-            "— CLIs, orchestrator, pool — not these files"
+            "— CLIs, orchestrator, batch runner — not these files"
         ),
     ),
     Rule(
