@@ -17,7 +17,7 @@
 #include <cstring>
 #include <exception>
 #include <filesystem>
-#include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -25,33 +25,12 @@
 
 #include "src/algorithms/registry.hpp"
 #include "src/analysis/rule_analysis.hpp"
+#include "src/core/text.hpp"
 #include "src/dsl/dsl.hpp"
 
 namespace {
 
 using namespace lumi;
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 struct LintedAlgorithm {
   std::string name;
@@ -109,15 +88,6 @@ std::string report_json(const std::vector<LintedAlgorithm>& linted) {
   return out;
 }
 
-bool read_file(const std::string& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  out = buf.str();
-  return true;
-}
-
 /// Defect slugs from a fixture's `# expect: a b c` header (first match wins);
 /// {"clean"} means the analyzer must report nothing.
 std::set<std::string> expected_classes(const std::string& text) {
@@ -153,13 +123,13 @@ int run_self_test(const std::string& dir) {
   std::sort(files.begin(), files.end());
   int failures = 0;
   for (const auto& path : files) {
-    std::string text;
-    if (!read_file(path.string(), text)) {
+    const std::optional<std::string> text = read_file(path.string());
+    if (!text) {
       std::fprintf(stderr, "self-test: cannot read %s\n", path.c_str());
       failures += 1;
       continue;
     }
-    const std::set<std::string> expect = expected_classes(text);
+    const std::set<std::string> expect = expected_classes(*text);
     if (expect.empty()) {
       std::fprintf(stderr, "%s: FAIL (missing '# expect:' header)\n", path.c_str());
       failures += 1;
@@ -168,7 +138,7 @@ int run_self_test(const std::string& dir) {
     analysis::AnalysisReport report;
     Algorithm alg;
     try {
-      alg = dsl::parse(text, dsl::ParseOptions{.validate = false});
+      alg = dsl::parse(*text, dsl::ParseOptions{.validate = false});
       report = analysis::analyze(alg);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "%s: FAIL (%s)\n", path.c_str(), e.what());
@@ -248,23 +218,21 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (self_test) {
-    if (fixtures_dir.empty()) {
-      std::fprintf(stderr, "--self-test needs --fixtures=DIR\n");
-      return 2;
-    }
-    return run_self_test(fixtures_dir);
+  if (self_test && fixtures_dir.empty()) {
+    std::fprintf(stderr, "--self-test needs --fixtures=DIR\n");
+    return 2;
   }
 
   std::vector<LintedAlgorithm> linted;
   try {
+    if (self_test) return run_self_test(fixtures_dir);
     if (!file_path.empty()) {
-      std::string text;
-      if (!read_file(file_path, text)) {
+      const std::optional<std::string> text = read_file(file_path);
+      if (!text) {
         std::fprintf(stderr, "cannot read %s\n", file_path.c_str());
         return 2;
       }
-      const Algorithm alg = dsl::parse(text, dsl::ParseOptions{.validate = false});
+      const Algorithm alg = dsl::parse(*text, dsl::ParseOptions{.validate = false});
       linted.push_back({alg.name, "", analysis::analyze(alg)});
     } else {
       for (const algorithms::TableEntry& e : algorithms::table1()) {
@@ -284,13 +252,9 @@ int main(int argc, char** argv) {
   }
   std::printf("algo_lint: %zu algorithm(s), %zu finding(s)\n", linted.size(), total);
 
-  if (!json_path.empty()) {
-    std::ofstream out(json_path, std::ios::binary);
-    out << report_json(linted);
-    if (!out) {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 2;
-    }
+  if (!json_path.empty() && !write_file_atomic(json_path, report_json(linted))) {
+    std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
+    return 2;
   }
   // The registry pin: any finding at all — warning included — fails the run.
   return total == 0 ? 0 : 1;

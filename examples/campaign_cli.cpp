@@ -22,6 +22,7 @@
 #include "src/campaign/campaign.hpp"
 #include "src/campaign/orchestrate.hpp"
 #include "src/campaign/shard.hpp"
+#include "src/core/text.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/progress.hpp"
 #include "src/obs/trace_event.hpp"
@@ -114,15 +115,15 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (const char* v = value("--cols=")) {
       if (!parse_range(v, args.cols)) return false;
     } else if (const char* v = value("--seeds=")) {
-      if (!campaign::parse_number(v, args.seeds, 1)) return bad_value();
+      if (!parse_number(v, args.seeds, 1)) return bad_value();
     } else if (const char* v = value("--threads=")) {
-      if (!campaign::parse_number(v, args.threads)) return bad_value();
+      if (!parse_number(v, args.threads)) return bad_value();
     } else if (const char* v = value("--batch=")) {
       // 0 = automatic per-cell sizing; 1 = the per-job reference path.
       // Reports are byte-identical at any value — this is a perf knob only.
-      if (!campaign::parse_number(v, args.batch)) return bad_value();
+      if (!parse_number(v, args.batch)) return bad_value();
     } else if (const char* v = value("--max-steps=")) {
-      if (!campaign::parse_number(v, args.max_steps, 1)) return bad_value();
+      if (!parse_number(v, args.max_steps, 1)) return bad_value();
     } else if (const char* v = value("--csv=")) {
       args.csv_path = v;
     } else if (const char* v = value("--json=")) {
@@ -136,7 +137,7 @@ bool parse_args(int argc, char** argv, Args& args) {
       const std::string spec = v;
       const std::size_t comma = spec.rfind(',');
       if (comma != std::string::npos) {
-        if (!campaign::parse_number(spec.c_str() + comma + 1, args.record_anomalies.limit, 1)) {
+        if (!parse_number(spec.c_str() + comma + 1, args.record_anomalies.limit, 1)) {
           return bad_value();
         }
         args.record_anomalies.dir = spec.substr(0, comma);
@@ -151,22 +152,22 @@ bool parse_args(int argc, char** argv, Args& args) {
     } else if (const char* v = value("--checkpoint=")) {
       args.checkpoint_path = v;
     } else if (const char* v = value("--flush-interval=")) {
-      if (!campaign::parse_number(v, args.flush_interval) || args.flush_interval <= 0) {
+      if (!parse_number(v, args.flush_interval) || args.flush_interval <= 0) {
         return bad_value();
       }
     } else if (const char* v = value("--max-jobs=")) {
-      if (!campaign::parse_number(v, args.max_jobs)) return bad_value();
+      if (!parse_number(v, args.max_jobs)) return bad_value();
     } else if (arg == "--adaptive") {
       args.adaptive.enabled = true;
     } else if (const char* v = value("--adaptive-max-extra=")) {
       args.adaptive.enabled = true;
-      if (!campaign::parse_number(v, args.adaptive.max_extra_seeds)) return bad_value();
+      if (!parse_number(v, args.adaptive.max_extra_seeds)) return bad_value();
     } else if (const char* v = value("--adaptive-round=")) {
       args.adaptive.enabled = true;
-      if (!campaign::parse_number(v, args.adaptive.seeds_per_round, 1)) return bad_value();
+      if (!parse_number(v, args.adaptive.seeds_per_round, 1)) return bad_value();
     } else if (const char* v = value("--adaptive-variance=")) {
       args.adaptive.enabled = true;
-      if (!campaign::parse_number(v, args.adaptive.instants_variance_threshold)) return bad_value();
+      if (!parse_number(v, args.adaptive.instants_variance_threshold)) return bad_value();
     } else if (arg == "--progress") {
       args.progress = true;
     } else if (arg == "--quiet") {
@@ -388,21 +389,21 @@ int main(int argc, char** argv) {
     // Span in the CLI, not in src/trace: obs-isolation keeps report
     // rendering free of obs:: symbols.
     obs::Span span("report.write", "cli");
-    if (!lumi::write_text_file(args.csv_path, campaign_csv(summary))) {
+    if (!write_file_atomic(args.csv_path, campaign_csv(summary))) {
       std::fprintf(stderr, "failed to write %s\n", args.csv_path.c_str());
       return 1;
     }
   }
   if (!args.json_path.empty()) {
     obs::Span span("report.write", "cli");
-    if (!lumi::write_text_file(args.json_path, campaign_json(summary))) {
+    if (!write_file_atomic(args.json_path, campaign_json(summary))) {
       std::fprintf(stderr, "failed to write %s\n", args.json_path.c_str());
       return 1;
     }
   }
   if (!args.metrics_path.empty() &&
-      !lumi::write_text_file(args.metrics_path,
-                             obs::metrics_json(obs::Registry::global().snapshot()))) {
+      !write_file_atomic(args.metrics_path,
+                         obs::metrics_json(obs::Registry::global().snapshot()))) {
     std::fprintf(stderr, "failed to write %s\n", args.metrics_path.c_str());
     return 1;
   }

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/campaign/checkpoint.hpp"
+#include "src/core/text.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/trace_event.hpp"
 #include "src/trace/report.hpp"
@@ -107,7 +108,13 @@ int main(int argc, char** argv) {
     obs_shards.add(1);
   }
 
-  const campaign::CampaignSummary summary = campaign::checkpoint_summary(merged);
+  campaign::CampaignSummary summary;
+  try {
+    summary = campaign::checkpoint_summary(merged);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "campaign_merge: summarizing: %s\n", e.what());
+    return 2;
+  }
   std::printf("merged %zu checkpoints: %zu cells, %zu jobs done, "
               "terminated %ld/%ld, explored %ld/%ld, failures %ld\n",
               loaded, merged.cells.size(), merged.jobs_done(), summary.total.terminated,
@@ -123,20 +130,20 @@ int main(int argc, char** argv) {
   }
   if (!csv_path.empty()) {
     obs::Span span("report.write", "cli");
-    if (!write_text_file(csv_path, campaign_csv(summary))) {
+    if (!write_file_atomic(csv_path, campaign_csv(summary))) {
       std::fprintf(stderr, "campaign_merge: failed to write %s\n", csv_path.c_str());
       return 1;
     }
   }
   if (!json_path.empty()) {
     obs::Span span("report.write", "cli");
-    if (!write_text_file(json_path, campaign_json(summary))) {
+    if (!write_file_atomic(json_path, campaign_json(summary))) {
       std::fprintf(stderr, "campaign_merge: failed to write %s\n", json_path.c_str());
       return 1;
     }
   }
   if (!metrics_path.empty() &&
-      !write_text_file(metrics_path, obs::metrics_json(obs::Registry::global().snapshot()))) {
+      !write_file_atomic(metrics_path, obs::metrics_json(obs::Registry::global().snapshot()))) {
     std::fprintf(stderr, "campaign_merge: failed to write %s\n", metrics_path.c_str());
     return 1;
   }

@@ -15,6 +15,7 @@
 
 #include "src/algorithms/registry.hpp"
 #include "src/campaign/campaign.hpp"
+#include "src/core/text.hpp"
 #include "src/engine/runner.hpp"
 #include "src/topo/topology.hpp"
 #include "src/trace/ascii_render.hpp"
@@ -46,17 +47,17 @@ bool parse_args(int argc, char** argv, Args& args) {
     if (const char* v = value("--section=")) {
       args.section = v;
     } else if (const char* v = value("--rows=")) {
-      if (!lumi::campaign::parse_number(v, args.rows, 1)) return bad_value();
+      if (!lumi::parse_number(v, args.rows, 1)) return bad_value();
     } else if (const char* v = value("--cols=")) {
-      if (!lumi::campaign::parse_number(v, args.cols, 1)) return bad_value();
+      if (!lumi::parse_number(v, args.cols, 1)) return bad_value();
     } else if (const char* v = value("--topology=")) {
       args.topology = v;
     } else if (const char* v = value("--sched=")) {
       args.sched = v;
     } else if (const char* v = value("--seed=")) {
-      if (!lumi::campaign::parse_number(v, args.seed)) return bad_value();
+      if (!lumi::parse_number(v, args.seed)) return bad_value();
     } else if (const char* v = value("--max-steps=")) {
-      if (!lumi::campaign::parse_number(v, args.max_steps, 1)) return bad_value();
+      if (!lumi::parse_number(v, args.max_steps, 1)) return bad_value();
     } else if (arg == "--trace") {
       args.trace = true;
     } else {

@@ -20,15 +20,14 @@
 //                                        registry section)
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/algorithms/registry.hpp"
 #include "src/campaign/campaign.hpp"
 #include "src/campaign/doctor.hpp"
+#include "src/core/text.hpp"
 #include "src/dsl/dsl.hpp"
 #include "src/obs/recorder.hpp"
 #include "src/topo/topology.hpp"
@@ -149,15 +148,15 @@ int record(int argc, char** argv) {
     } else if (const auto v = value("--sched")) {
       sched_name = *v;
     } else if (const auto v = value("--rows")) {
-      if (!campaign::parse_number(*v, rows, 1)) return bad_value(arg, argv[0]);
+      if (!parse_number(*v, rows, 1)) return bad_value(arg, argv[0]);
     } else if (const auto v = value("--cols")) {
-      if (!campaign::parse_number(*v, cols, 1)) return bad_value(arg, argv[0]);
+      if (!parse_number(*v, cols, 1)) return bad_value(arg, argv[0]);
     } else if (const auto v = value("--seed")) {
-      if (!campaign::parse_number(*v, seed)) return bad_value(arg, argv[0]);
+      if (!parse_number(*v, seed)) return bad_value(arg, argv[0]);
     } else if (const auto v = value("--max-steps")) {
-      if (!campaign::parse_number(*v, max_steps, 1)) return bad_value(arg, argv[0]);
+      if (!parse_number(*v, max_steps, 1)) return bad_value(arg, argv[0]);
     } else if (const auto v = value("--capacity")) {
-      if (!campaign::parse_number(*v, capacity)) return bad_value(arg, argv[0]);
+      if (!parse_number(*v, capacity)) return bad_value(arg, argv[0]);
     } else if (arg == "--unique-actions") {
       unique_actions = true;
     } else {
@@ -174,16 +173,14 @@ int record(int argc, char** argv) {
 
   Algorithm alg;
   if (!table_path.empty()) {
-    std::ifstream in(table_path);
-    if (!in) {
+    const std::optional<std::string> text = read_file(table_path);
+    if (!text) {
       std::fprintf(stderr, "run_doctor: cannot open table '%s'\n", table_path.c_str());
       return 1;
     }
-    std::ostringstream buf;
-    buf << in.rdbuf();
     // Unvalidated on purpose: recording deliberately defective tables (the
     // livelock example in docs/OBSERVABILITY.md) is a primary use.
-    alg = dsl::parse(buf.str(), {.validate = false, .strict = false});
+    alg = dsl::parse(*text, {.validate = false, .strict = false});
   } else {
     alg = algorithms::entry(section).make();
   }

@@ -7,6 +7,18 @@
 
 namespace lumi::campaign {
 
+namespace {
+
+/// a + b, or std::overflow_error when the sum does not fit T.
+template <class T>
+T checked_sum(T a, T b) {
+  T out{};
+  if (__builtin_add_overflow(a, b, &out)) throw std::overflow_error("accumulator merge overflows");
+  return out;
+}
+
+}  // namespace
+
 void LongStat::add(long sample) {
   if (sample < 0) throw std::invalid_argument("LongStat::add: negative sample");
   if (count == 0) {
@@ -24,17 +36,16 @@ void LongStat::add(long sample) {
 
 void LongStat::merge(const LongStat& other) {
   if (other.count == 0) return;
-  if (count == 0) {
-    min = other.min;
-    max = other.max;
-  } else {
-    min = std::min(min, other.min);
-    max = std::max(max, other.max);
+  LongStat out = *this;
+  out.count = checked_sum(count, other.count);
+  out.sum = checked_sum(sum, other.sum);
+  out.sum_squares = checked_sum(sum_squares, other.sum_squares);
+  for (std::size_t b = 0; b < histogram.size(); ++b) {
+    out.histogram[b] = checked_sum(histogram[b], other.histogram[b]);
   }
-  count += other.count;
-  sum += other.sum;
-  sum_squares += other.sum_squares;
-  for (std::size_t b = 0; b < histogram.size(); ++b) histogram[b] += other.histogram[b];
+  out.min = count == 0 ? other.min : std::min(min, other.min);
+  out.max = count == 0 ? other.max : std::max(max, other.max);
+  *this = out;
 }
 
 double LongStat::variance() const {
@@ -99,15 +110,17 @@ void CellAccumulator::add(const RunResult& result) {
 }
 
 void CellAccumulator::merge(const CellAccumulator& other) {
-  runs += other.runs;
-  terminated += other.terminated;
-  explored_all += other.explored_all;
-  failures += other.failures;
-  instants.merge(other.instants);
-  activations.merge(other.activations);
-  moves.merge(other.moves);
-  color_changes.merge(other.color_changes);
-  visited.merge(other.visited);
+  CellAccumulator out = *this;
+  out.runs = checked_sum(runs, other.runs);
+  out.terminated = checked_sum(terminated, other.terminated);
+  out.explored_all = checked_sum(explored_all, other.explored_all);
+  out.failures = checked_sum(failures, other.failures);
+  out.instants.merge(other.instants);
+  out.activations.merge(other.activations);
+  out.moves.merge(other.moves);
+  out.color_changes.merge(other.color_changes);
+  out.visited.merge(other.visited);
+  *this = out;
 }
 
 }  // namespace lumi::campaign

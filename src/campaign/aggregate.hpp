@@ -27,6 +27,7 @@ struct LongStat {
   std::array<long, 32> histogram{};
 
   void add(long sample);
+  /// Throws std::overflow_error, changing nothing, when a sum does not fit.
   void merge(const LongStat& other);
   double mean() const { return count == 0 ? 0.0 : static_cast<double>(sum) / count; }
   /// Population variance, from the exact sums (order-independent).
@@ -62,6 +63,7 @@ struct CellAccumulator {
   LongStat visited;  ///< nodes covered per run
 
   void add(const RunResult& result);
+  /// Throws std::overflow_error, changing nothing, when a sum does not fit.
   void merge(const CellAccumulator& other);
   double termination_rate() const { return runs == 0 ? 0.0 : static_cast<double>(terminated) / runs; }
   double exploration_rate() const {

@@ -7,6 +7,7 @@
 
 #include "src/algorithms/registry.hpp"
 #include "src/analysis/rule_analysis.hpp"
+#include "src/core/text.hpp"
 #include "src/dsl/dsl.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/recorder.hpp"

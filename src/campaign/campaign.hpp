@@ -7,16 +7,11 @@
 // cell axis: they shard, checkpoint, resume and merge exactly like grids.
 #pragma once
 
-#include <charconv>
-#include <cmath>
 #include <cstddef>
 #include <functional>
-#include <limits>
 #include <optional>
 #include <span>
 #include <string>
-#include <string_view>
-#include <type_traits>
 #include <vector>
 
 #include "src/campaign/aggregate.hpp"
@@ -64,26 +59,6 @@ struct IntRange {
   /// Throws std::invalid_argument on a non-positive step.
   std::vector<int> values() const;
 };
-
-/// The strict number parser behind range_from_string and every numeric CLI
-/// flag: true, with `out` written, when the whole of `text` is one base-10
-/// number of T as std::from_chars reads it (no whitespace, no '+', no sign
-/// for unsigned T, nothing out of T's range), no smaller than `lo`, and
-/// finite when T is floating.  False, with `out` untouched, otherwise.
-template <class T>
-bool parse_number(std::string_view text, T& out,
-                  std::type_identity_t<T> lo = std::numeric_limits<T>::lowest()) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [stop, error] = std::from_chars(text.data(), end, value);
-  if (error != std::errc{} || stop != end) return false;
-  if constexpr (std::is_floating_point_v<T>) {
-    if (!std::isfinite(value)) return false;
-  }
-  if (value < lo) return false;
-  out = value;
-  return true;
-}
 
 /// Parses the campaign CLI range grammar — "8", "4..64" or "4..64:12" —
 /// into an inclusive stepped range.  std::nullopt (with nothing written

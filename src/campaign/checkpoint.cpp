@@ -1,12 +1,12 @@
 #include "src/campaign/checkpoint.hpp"
 
-#include <charconv>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
+#include <algorithm>
+#include <array>
 #include <sstream>
 #include <stdexcept>
-#include <system_error>
+#include <string_view>
+
+#include "src/core/text.hpp"
 
 namespace lumi::campaign {
 
@@ -16,94 +16,90 @@ constexpr const char* kMagic = "lumi-campaign-checkpoint";
 // v2: the cell record carries the topology spec token (between the
 // scheduler and section fields); v1 files predate the topology axis and are
 // rejected rather than guessed at.
-constexpr int kVersion = 2;
+constexpr std::string_view kVersion = "v2";
 constexpr const char* kStatNames[] = {"instants", "activations", "moves", "color_changes",
                                       "visited"};
 
-LongStat* stat_by_name(CellAccumulator& acc, const std::string& name) {
-  LongStat* stats[] = {&acc.instants, &acc.activations, &acc.moves, &acc.color_changes,
-                       &acc.visited};
-  for (std::size_t i = 0; i < std::size(kStatNames); ++i) {
-    if (name == kStatNames[i]) return stats[i];
-  }
-  return nullptr;
+/// The accumulator's statistics, in kStatNames order.
+template <class Acc>
+auto stats_of(Acc& acc) {
+  return std::array{&acc.instants, &acc.activations, &acc.moves, &acc.color_changes,
+                    &acc.visited};
 }
 
-/// Sections may contain arbitrary bytes; encode them into a single
-/// whitespace-free token ('%XX' for '%' and anything outside 0x21..0x7e).
-std::string encode_token(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char raw : s) {
-    const unsigned char c = static_cast<unsigned char>(raw);
-    if (c == '%' || c < 0x21 || c > 0x7e) {
-      char buf[4];
-      std::snprintf(buf, sizeof(buf), "%%%02x", c);
-      out += buf;
-    } else {
-      out.push_back(raw);
+/// Every field a run can write, and only those: counts and outcomes in
+/// [0, runs], one sample per run in exactly one bucket, an empty stream all
+/// zeros, 0 <= min <= max (percentile() clamps to them), and a sum in
+/// [count * min, count * max].  CellAccumulator::add and merge keep all of
+/// this true, so every written checkpoint passes.
+CheckpointCell parse_cell(LineReader& in, std::size_t index) {
+  CheckpointCell c;
+  {
+    const auto f = in.fields("cell", 6);
+    if (in.number<std::size_t>(f[0]) != index) throw std::runtime_error("cell out of order");
+    c.cell.rows = in.number<int>(f[1]);
+    c.cell.cols = in.number<int>(f[2]);
+    const auto kind = sched_from_name(std::string(f[3]));
+    if (!kind) throw std::runtime_error("unknown scheduler '" + std::string(f[3]) + "'");
+    c.cell.sched = *kind;
+    c.cell.topo = decode_token(f[4]);
+    c.cell.section = decode_token(f[5]);
+  }
+  CellAccumulator& acc = c.acc;
+  {
+    const auto f = in.fields("acc", 4);
+    acc.runs = in.number<long>(f[0], 0);
+    acc.terminated = in.number<long>(f[1], 0);
+    acc.explored_all = in.number<long>(f[2], 0);
+    acc.failures = in.number<long>(f[3], 0);
+    if (std::max({acc.terminated, acc.explored_all, acc.failures}) > acc.runs) {
+      throw std::runtime_error("accumulator counts outside [0, runs]");
     }
   }
-  return out;
-}
-
-std::string decode_token(const std::string& s) {
-  const auto hex_digit = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-    return -1;
-  };
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '%') {
-      out.push_back(s[i]);
-      continue;
+  for (std::size_t k = 0; k < std::size(kStatNames); ++k) {
+    const auto f = in.fields("stat", 6 + LongStat{}.histogram.size());
+    const char* name = kStatNames[k];
+    if (f[0] != name) throw std::runtime_error(std::string("expected stat ") + name);
+    LongStat& stat = *stats_of(acc)[k];
+    stat.count = in.number<long>(f[1]);
+    stat.sum = in.number<long long>(f[2]);
+    stat.sum_squares = in.number<long long>(f[3]);
+    stat.min = in.number<long>(f[4]);
+    stat.max = in.number<long>(f[5]);
+    if (stat.count != acc.runs) throw std::runtime_error("stat count differs from the cell's runs");
+    long long lo = 0;
+    long long hi = 0;
+    const bool lo_overflows = __builtin_mul_overflow(stat.count, stat.min, &lo);
+    const bool hi_overflows = __builtin_mul_overflow(stat.count, stat.max, &hi);
+    const bool fields_ok =
+        stat.count == 0
+            ? stat.sum == 0 && stat.sum_squares == 0 && stat.min == 0 && stat.max == 0
+            : 0 <= stat.min && stat.min <= stat.max && !lo_overflows && lo <= stat.sum &&
+                  (hi_overflows || stat.sum <= hi);
+    if (!fields_ok) throw std::runtime_error("stat min/max/sums impossible for its count");
+    long unbucketed = stat.count;
+    for (std::size_t b = 0; b < stat.histogram.size(); ++b) {
+      const long h = in.number<long>(f[6 + b], 0);
+      if (h > unbucketed) throw std::runtime_error("histogram buckets exceed the count");
+      stat.histogram[b] = h;
+      unbucketed -= h;
     }
-    if (i + 2 >= s.size()) throw std::runtime_error("checkpoint: truncated %-escape");
-    const int hi = hex_digit(s[i + 1]);
-    const int lo = hex_digit(s[i + 2]);
-    if (hi < 0 || lo < 0) {
-      throw std::runtime_error("checkpoint: bad %-escape '" + s.substr(i, 3) + "'");
-    }
-    out.push_back(static_cast<char>(hi * 16 + lo));
-    i += 2;
+    if (unbucketed != 0) throw std::runtime_error("histogram buckets fall short of the count");
   }
-  return out;
-}
-
-void serialize_stat(std::ostringstream& out, const char* name, const LongStat& s) {
-  out << "stat " << name << ' ' << s.count << ' ' << s.sum << ' ' << s.sum_squares << ' ' << s.min
-      << ' ' << s.max;
-  for (long h : s.histogram) out << ' ' << h;
-  out << '\n';
-}
-
-[[noreturn]] void fail(std::size_t line, const std::string& what) {
-  throw std::runtime_error("checkpoint: line " + std::to_string(line) + ": " + what);
-}
-
-/// Reads a record count or a seed: decimal digits only, so "-1" cannot wrap
-/// to SIZE_MAX or UINT_MAX.  A count only frames the records that follow and
-/// never sizes an allocation: containers grow as records parse, so an
-/// oversized count fails at the first missing record.
-template <class T>
-bool read_digits(std::istringstream& ls, T& n) {
-  std::string tok;
-  if (!(ls >> tok)) return false;
-  const char* end = tok.data() + tok.size();
-  const auto [ptr, ec] = std::from_chars(tok.data(), end, n);
-  return ec == std::errc{} && ptr == end;
-}
-
-/// Exactly 16 hex digits, as checkpoint_serialize prints the fingerprint.
-bool read_fingerprint(std::istringstream& ls, std::uint64_t& fp) {
-  std::string hex;
-  if (!(ls >> hex) || hex.size() != 16) return false;
-  const char* end = hex.data() + hex.size();
-  const auto [ptr, ec] = std::from_chars(hex.data(), end, fp, 16);
-  return ec == std::errc{} && ptr == end;
+  {
+    const auto f = in.fields("seeds");
+    // The count only frames the list, and never sizes an allocation.
+    if (f.empty() || in.number<std::size_t>(f[0]) != f.size() - 1) {
+      throw std::runtime_error("seed count differs from the seeds listed");
+    }
+    for (std::size_t s = 1; s < f.size(); ++s) {
+      c.seeds_done.push_back(in.number<unsigned>(f[s]));
+      if (s > 1 && c.seeds_done[s - 2] >= c.seeds_done[s - 1]) {
+        throw std::runtime_error("seeds not strictly ascending");
+      }
+    }
+  }
+  return c;
 }
 
 }  // namespace
@@ -143,11 +139,8 @@ Checkpoint make_checkpoint(const Expansion& expansion) {
 
 std::string checkpoint_serialize(const Checkpoint& checkpoint) {
   std::ostringstream out;
-  out << kMagic << " v" << kVersion << '\n';
-  char fp[24];
-  std::snprintf(fp, sizeof(fp), "%016llx",
-                static_cast<unsigned long long>(checkpoint.fingerprint));
-  out << "fingerprint " << fp << '\n';
+  out << kMagic << ' ' << kVersion << '\n';
+  out << "fingerprint " << hex16(checkpoint.fingerprint) << '\n';
   out << "cells " << checkpoint.cells.size() << '\n';
   for (std::size_t i = 0; i < checkpoint.cells.size(); ++i) {
     const CheckpointCell& c = checkpoint.cells[i];
@@ -156,10 +149,12 @@ std::string checkpoint_serialize(const Checkpoint& checkpoint) {
         << encode_token(c.cell.section) << '\n';
     out << "acc " << c.acc.runs << ' ' << c.acc.terminated << ' ' << c.acc.explored_all << ' '
         << c.acc.failures << '\n';
-    const LongStat* stats[] = {&c.acc.instants, &c.acc.activations, &c.acc.moves,
-                               &c.acc.color_changes, &c.acc.visited};
-    for (std::size_t s = 0; s < std::size(kStatNames); ++s) {
-      serialize_stat(out, kStatNames[s], *stats[s]);
+    for (std::size_t k = 0; k < std::size(kStatNames); ++k) {
+      const LongStat& s = *stats_of(c.acc)[k];
+      out << "stat " << kStatNames[k] << ' ' << s.count << ' ' << s.sum << ' ' << s.sum_squares
+          << ' ' << s.min << ' ' << s.max;
+      for (long h : s.histogram) out << ' ' << h;
+      out << '\n';
     }
     out << "seeds " << c.seeds_done.size();
     for (unsigned seed : c.seeds_done) out << ' ' << seed;
@@ -170,159 +165,37 @@ std::string checkpoint_serialize(const Checkpoint& checkpoint) {
 }
 
 Checkpoint checkpoint_parse(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
-  std::size_t lineno = 0;
-  const auto next_line = [&]() -> std::istringstream {
-    if (!std::getline(in, line)) fail(lineno, "unexpected end of file");
-    ++lineno;
-    return std::istringstream(line);
-  };
-  const auto expect_keyword = [&](std::istringstream& ls, const char* want) {
-    std::string got;
-    if (!(ls >> got) || got != want) fail(lineno, std::string("expected '") + want + "'");
-  };
-  // A record ends at its last field: anything but whitespace after it fails.
-  const auto expect_line_end = [&](std::istringstream& ls) {
-    std::string extra;
-    if (ls >> extra) fail(lineno, "unexpected '" + extra + "' after the last field");
-  };
-
-  Checkpoint out;
-  {
-    std::istringstream ls = next_line();
-    expect_keyword(ls, kMagic);
-    std::string want = "v";
-    want += std::to_string(kVersion);
-    std::string version;
-    if (!(ls >> version) || version != want) {
-      fail(lineno, "unsupported version '" + version + "'");
+  LineReader in(text);
+  try {
+    Checkpoint out;
+    if (in.field(kMagic) != kVersion) throw std::runtime_error("unsupported version");
+    if (!parse_hex16(in.field("fingerprint"), out.fingerprint)) {
+      throw std::runtime_error("bad fingerprint");
     }
-    expect_line_end(ls);
-  }
-  {
-    std::istringstream ls = next_line();
-    expect_keyword(ls, "fingerprint");
-    if (!read_fingerprint(ls, out.fingerprint)) fail(lineno, "bad fingerprint");
-    expect_line_end(ls);
-  }
-  std::size_t num_cells = 0;
-  {
-    std::istringstream ls = next_line();
-    expect_keyword(ls, "cells");
-    if (!read_digits(ls, num_cells)) fail(lineno, "bad cell count");
-    expect_line_end(ls);
-  }
-  for (std::size_t i = 0; i < num_cells; ++i) {
-    CheckpointCell c;
-    {
-      std::istringstream ls = next_line();
-      expect_keyword(ls, "cell");
-      std::size_t index = 0;
-      std::string sched, topo, section;
-      if (!(ls >> index >> c.cell.rows >> c.cell.cols >> sched >> topo >> section) ||
-          index != i) {
-        fail(lineno, "bad cell record");
-      }
-      expect_line_end(ls);
-      const auto kind = sched_from_name(sched);
-      if (!kind) fail(lineno, "unknown scheduler '" + sched + "'");
-      c.cell.sched = *kind;
-      c.cell.topo = decode_token(topo);
-      c.cell.section = decode_token(section);
+    const auto num_cells = in.number<std::size_t>(in.field("cells"));
+    for (std::size_t i = 0; i < num_cells; ++i) out.cells.push_back(parse_cell(in, i));
+    in.fields("end", 0);
+    if (!in.at_end()) {
+      in.line();
+      throw std::runtime_error("content after 'end'");
     }
-    {
-      std::istringstream ls = next_line();
-      expect_keyword(ls, "acc");
-      if (!(ls >> c.acc.runs >> c.acc.terminated >> c.acc.explored_all >> c.acc.failures)) {
-        fail(lineno, "bad accumulator record");
-      }
-      expect_line_end(ls);
-      const auto within_runs = [&c](long n) { return 0 <= n && n <= c.acc.runs; };
-      if (!within_runs(c.acc.terminated) || !within_runs(c.acc.explored_all) ||
-          !within_runs(c.acc.failures)) {
-        fail(lineno, "accumulator counts outside [0, runs]");
-      }
-    }
-    for (const char* name : kStatNames) {
-      std::istringstream ls = next_line();
-      expect_keyword(ls, "stat");
-      std::string got;
-      if (!(ls >> got) || got != name) fail(lineno, std::string("expected stat ") + name);
-      LongStat* stat = stat_by_name(c.acc, got);
-      if (!(ls >> stat->count >> stat->sum >> stat->sum_squares >> stat->min >> stat->max)) {
-        fail(lineno, "bad stat record");
-      }
-      // What LongStat::add and merge keep true, so every written checkpoint
-      // passes: one sample per run, each in exactly one bucket, an empty
-      // stream all zeros, and 0 <= min <= max (percentile() clamps to them).
-      if (stat->count != c.acc.runs) fail(lineno, "stat count differs from the cell's runs");
-      const bool all_zero = stat->sum == 0 && stat->sum_squares == 0 && stat->min == 0 &&
-                            stat->max == 0;
-      const bool fields_ok = stat->count == 0 ? all_zero : 0 <= stat->min && stat->min <= stat->max;
-      if (!fields_ok) fail(lineno, "stat min/max/sums impossible for its count");
-      long unbucketed = stat->count;
-      for (long& h : stat->histogram) {
-        if (!(ls >> h)) fail(lineno, "bad histogram");
-        if (h < 0 || h > unbucketed) fail(lineno, "histogram buckets exceed the count");
-        unbucketed -= h;
-      }
-      if (unbucketed != 0) fail(lineno, "histogram buckets fall short of the count");
-      expect_line_end(ls);
-    }
-    {
-      std::istringstream ls = next_line();
-      expect_keyword(ls, "seeds");
-      std::size_t k = 0;
-      if (!read_digits(ls, k)) fail(lineno, "bad seed count");
-      for (std::size_t s = 0; s < k; ++s) {
-        unsigned seed = 0;
-        if (!read_digits(ls, seed)) fail(lineno, "bad seed list");
-        c.seeds_done.push_back(seed);
-      }
-      expect_line_end(ls);
-      for (std::size_t s = 1; s < c.seeds_done.size(); ++s) {
-        if (c.seeds_done[s - 1] >= c.seeds_done[s]) fail(lineno, "seeds not strictly ascending");
-      }
-    }
-    out.cells.push_back(std::move(c));
+    return out;
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error("checkpoint: line " + std::to_string(in.lineno()) + ": " +
+                             e.what());
   }
-  {
-    std::istringstream ls = next_line();
-    expect_keyword(ls, "end");
-    expect_line_end(ls);
-  }
-  if (std::getline(in, line)) fail(lineno + 1, "content after 'end'");
-  return out;
 }
 
 bool checkpoint_write(const std::string& path, const Checkpoint& checkpoint) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out << checkpoint_serialize(checkpoint);
-    out.flush();
-    if (!out) return false;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+  return write_file_atomic(path, checkpoint_serialize(checkpoint));
 }
 
 std::optional<Checkpoint> checkpoint_load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    // Distinguish "no checkpoint yet" from "checkpoint present but
-    // unreadable": restarting from scratch over a real checkpoint (and then
-    // overwriting it) must never happen silently.
-    std::error_code ec;
-    if (std::filesystem::exists(path, ec) && !ec) {
-      throw std::runtime_error("checkpoint_load: '" + path + "' exists but cannot be read");
-    }
-    return std::nullopt;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return checkpoint_parse(buf.str());
+  // An unreadable file throws: restarting from scratch over a real
+  // checkpoint (and then overwriting it) must never happen silently.
+  const std::optional<std::string> text = read_file(path);
+  if (!text.has_value()) return std::nullopt;
+  return checkpoint_parse(*text);
 }
 
 void checkpoint_merge(Checkpoint& into, const Checkpoint& other) {

@@ -162,9 +162,11 @@ bool certify_cycle(const obs::Recording& rec, std::string& why) {
   }
   const long start = rec.cycle->start;
   const long length = rec.cycle->length;
-  if (start < 0 || length <= 0) {
+  // The witness must close within the recorded run, which also keeps the
+  // replay below its length; start + length is formed only once it fits.
+  if (start < 0 || length <= 0 || start > rec.instants || length > rec.instants - start) {
     why = "witness (" + std::to_string(start) + "," + std::to_string(length) +
-          ") is malformed";
+          ") does not lie within the " + std::to_string(rec.instants) + " recorded instants";
     return false;
   }
   const Algorithm alg = algorithm_of(rec);

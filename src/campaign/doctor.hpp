@@ -33,8 +33,9 @@ struct ReplayCheck {
 };
 
 /// Re-executes the recording and compares everything result-bearing.
-/// Throws std::runtime_error when the recording cannot be replayed at all
-/// (unknown scheduler name, malformed algorithm text or topology spec).
+/// Throws when the recording cannot be replayed at all: std::runtime_error
+/// for an unknown scheduler name, std::invalid_argument for algorithm text
+/// or a topology spec that does not parse.
 ReplayCheck replay_recording(const obs::Recording& rec);
 
 /// Certifies a cycle witness by replaying the run to instant

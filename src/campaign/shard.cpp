@@ -1,23 +1,19 @@
 #include "src/campaign/shard.hpp"
 
-#include <charconv>
 #include <stdexcept>
+
+#include "src/core/text.hpp"
 
 namespace lumi::campaign {
 
 std::optional<ShardSpec> shard_from_string(const std::string& text) {
-  // Each half must be all digits and fit in unsigned: from_chars takes no
-  // sign or space and reports overflow instead of wrapping.
-  const auto parse = [](const char* first, const char* last, unsigned& out) {
-    const auto [end, ec] = std::from_chars(first, last, out);
-    return first != last && ec == std::errc() && end == last;
-  };
+  // Each half must be all digits and fit in unsigned: no sign, no space,
+  // and overflow is an error instead of a wrap.
   const std::size_t slash = text.find('/');
   if (slash == std::string::npos) return std::nullopt;
-  const char* begin = text.data();
   ShardSpec spec;
-  if (!parse(begin, begin + slash, spec.index) ||
-      !parse(begin + slash + 1, begin + text.size(), spec.count)) {
+  if (!parse_number(std::string_view(text).substr(0, slash), spec.index) ||
+      !parse_number(std::string_view(text).substr(slash + 1), spec.count)) {
     return std::nullopt;
   }
   if (spec.count == 0 || spec.index >= spec.count) return std::nullopt;

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "src/analysis/rule_analysis.hpp"
+#include "src/core/text.hpp"
 #include "src/dsl/dsl.hpp"
 
 namespace lumi::dsl {
@@ -14,18 +15,10 @@ namespace {
   throw std::invalid_argument("dsl parse error (line " + std::to_string(line) + "): " + what);
 }
 
-/// Strict integer parse: the whole token must be a number.  std::stoi alone
-/// would accept "2x" (silently dropping the suffix) and, worse, throw a bare
-/// std::invalid_argument with no line or token context on "two".
+/// The whole token must be one int, quoted back when it is not.
 int parse_int(const std::string& s, int line, const std::string& what) {
-  std::size_t used = 0;
   int value = 0;
-  try {
-    value = std::stoi(s, &used);
-  } catch (const std::exception&) {
-    fail(line, what + " expects an integer, got '" + s + "'");
-  }
-  if (used != s.size()) fail(line, what + " expects an integer, got '" + s + "'");
+  if (!parse_number(s, value)) fail(line, what + " expects an integer, got '" + s + "'");
   return value;
 }
 
@@ -61,7 +54,12 @@ CellPattern parse_pattern(const std::string& s, int line) {
     std::string item;
     while (std::getline(in, item, ',')) {
       if (item.empty()) fail(line, "empty color in multiset '" + s + "'");
-      ms.add(parse_color(item, line));
+      const Color color = parse_color(item, line);
+      if (ms.count(color) >= kMaxRobotsPerNode) {
+        fail(line, "multiset '" + s + "' lists a color more than " +
+                       std::to_string(kMaxRobotsPerNode) + " times");
+      }
+      ms.add(color);
     }
     if (ms.empty()) fail(line, "empty multiset '" + s + "'; use 'empty' instead");
     return CellPattern::exactly(ms);

@@ -1,9 +1,10 @@
 #include "src/obs/metrics.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
 #include <utility>
+
+#include "src/core/text.hpp"
 
 namespace lumi::obs {
 
@@ -173,30 +174,6 @@ void Registry::reset() {
 
 namespace {
 
-/// Minimal JSON string escape for metric names (which are ASCII identifiers
-/// by convention; this keeps the writer safe for arbitrary names anyway).
-std::string js(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
 void append_scalar_map(std::string& out, const char* key,
                        const std::vector<MetricValue>& values) {
   out += "  \"";
@@ -204,7 +181,7 @@ void append_scalar_map(std::string& out, const char* key,
   out += "\": {";
   for (std::size_t i = 0; i < values.size(); ++i) {
     out += i == 0 ? "\n" : ",\n";
-    out += "    " + js(values[i].name) + ": " + std::to_string(values[i].value);
+    out += "    \"" + json_escape(values[i].name) + "\": " + std::to_string(values[i].value);
   }
   out += values.empty() ? "}" : "\n  }";
 }
@@ -229,7 +206,7 @@ std::string metrics_json(const MetricsSnapshot& snapshot) {
   for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
     const HistogramValue& h = snapshot.histograms[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "    " + js(h.name) + ": {\"bounds\": ";
+    out += "    \"" + json_escape(h.name) + "\": {\"bounds\": ";
     append_list(out, h.bounds);
     out += ", \"counts\": ";
     append_list(out, h.counts);

@@ -1,60 +1,14 @@
 #include "src/obs/recorder.hpp"
 
-#include <charconv>
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
-#include <system_error>
 #include <utility>
 
+#include "src/core/text.hpp"
 #include "src/engine/runner.hpp"
 
 namespace lumi::obs {
 namespace {
-
-// Token escaping for single-space-separated fields, same scheme as the
-// checkpoint format (duplicated rather than shared: obs must not depend on
-// campaign).  '%' and anything outside printable-ASCII-minus-space becomes
-// %XX.  An empty string serializes as a bare "%", which the escaper never
-// emits otherwise ('%' itself encodes as "%25").
-std::string encode_token(const std::string& s) {
-  if (s.empty()) return "%";
-  std::string out;
-  out.reserve(s.size());
-  for (unsigned char c : s) {
-    if (c != '%' && c > 0x20 && c < 0x7f) {
-      out.push_back(static_cast<char>(c));
-    } else {
-      char buf[4];
-      std::snprintf(buf, sizeof buf, "%%%02X", c);
-      out.append(buf);
-    }
-  }
-  return out;
-}
-
-std::string decode_token(const std::string& s) {
-  if (s == "%") return "";
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] != '%') {
-      out.push_back(s[i]);
-      continue;
-    }
-    if (i + 2 >= s.size()) throw std::runtime_error("truncated %-escape in token");
-    const auto hex = [](char c) -> int {
-      if (c >= '0' && c <= '9') return c - '0';
-      if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-      if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-      throw std::runtime_error("bad hex digit in %-escape");
-    };
-    out.push_back(static_cast<char>(hex(s[i + 1]) * 16 + hex(s[i + 2])));
-    i += 2;
-  }
-  return out;
-}
 
 char move_char(const std::optional<Dir>& move) {
   if (!move) return '-';
@@ -78,137 +32,14 @@ std::optional<Dir> move_from_char(char c) {
   }
 }
 
-/// Line-oriented reader with keyword-anchored parse errors.  Errors carry no
-/// line number: recording_parse prefixes the current one to every error.
-class Reader {
- public:
-  explicit Reader(const std::string& text) : in_(text) {}
-
-  /// Next line, which must start with `key` followed by a space (or be
-  /// exactly `key`); returns the remainder after the space.
-  std::string expect(const std::string& key) {
-    std::string line = next_line(key);
-    if (line == key) return "";
-    if (line.size() > key.size() && line.compare(0, key.size(), key) == 0 &&
-        line[key.size()] == ' ') {
-      return line.substr(key.size() + 1);
-    }
-    throw std::runtime_error("expected '" + key + " ...', got '" + line + "'");
-  }
-
-  /// Peeks whether the next line starts with `key`.
-  bool peek_is(const std::string& key) {
-    if (!peeked_) {
-      if (!std::getline(in_, peek_line_)) return false;
-      if (!peek_line_.empty() && peek_line_.back() == '\r') peek_line_.pop_back();
-      peeked_ = true;
-    }
-    return peek_line_ == key ||
-           (peek_line_.size() > key.size() && peek_line_.compare(0, key.size(), key) == 0 &&
-            peek_line_[key.size()] == ' ');
-  }
-
-  std::string raw_line() { return next_line("<line>"); }
-
-  /// True when every line has been read.
-  bool at_end() { return !peeked_ && in_.peek() == std::istringstream::traits_type::eof(); }
-
-  int lineno() const { return lineno_; }
-
- private:
-  std::string next_line(const std::string& wanted) {
-    ++lineno_;
-    if (peeked_) {
-      peeked_ = false;
-      return peek_line_;
-    }
-    std::string line;
-    if (!std::getline(in_, line)) {
-      throw std::runtime_error("unexpected end of file, wanted '" + wanted + "'");
-    }
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    return line;
-  }
-
-  std::istringstream in_;
-  std::string peek_line_;
-  bool peeked_ = false;
-  int lineno_ = 0;
-};
-
-/// Splits `rest` on single spaces into exactly `n` fields.
-std::vector<std::string> fields(const std::string& rest, std::size_t n, const char* what) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= rest.size()) {
-    const std::size_t space = rest.find(' ', start);
-    if (space == std::string::npos) {
-      out.push_back(rest.substr(start));
-      break;
-    }
-    out.push_back(rest.substr(start, space - start));
-    start = space + 1;
-  }
-  if (out.size() != n) {
-    throw std::runtime_error(std::string("'") + what + "' wants " + std::to_string(n) +
-                             " fields, got " + std::to_string(out.size()));
-  }
-  return out;
-}
-
-long long to_ll(const std::string& s, const char* what) {
-  try {
-    std::size_t used = 0;
-    const long long v = std::stoll(s, &used);
-    if (used != s.size()) throw std::invalid_argument(s);
-    return v;
-  } catch (const std::exception&) {
-    throw std::runtime_error(std::string("bad integer '") + s + "' in " + what);
-  }
-}
-
-/// An integer that must fit `T` (int for dims and coordinates, unsigned for
-/// the seed): narrowing an out-of-range value would replay a different run.
-template <class T>
-T to_fitting(const std::string& s, const char* what) {
-  const long long v = to_ll(s, what);
-  if (!std::in_range<T>(v)) {
-    throw std::runtime_error(std::string("'") + s + "' in " + what + " is out of range");
-  }
-  return static_cast<T>(v);
-}
-
-/// A record count.  It only frames the records that follow and never sizes
-/// an allocation: vectors grow as records parse, so an oversized count fails
-/// at the first missing record.
-long long to_count(const std::string& s, const char* what) {
-  const long long n = to_ll(s, what);
-  if (n < 0) throw std::runtime_error(std::string("negative count '") + s + "' in " + what);
-  return n;
-}
-
-/// Exactly 16 hex digits, as recording_serialize prints a hash.
-std::uint64_t to_hash(const std::string& s, const char* what) {
-  std::uint64_t h = 0;
-  const char* end = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(s.data(), end, h, 16);
-  if (s.size() != 16 || ec != std::errc{} || ptr != end) {
-    throw std::runtime_error(std::string("'") + s + "' in " + what + " is not 16 hex digits");
-  }
-  return h;
-}
-
-bool to_bool(const std::string& s, const char* what) {
+bool to_bool(std::string_view s) {
   if (s == "0") return false;
   if (s == "1") return true;
-  throw std::runtime_error(std::string("bad flag '") + s + "' in " + what);
+  throw std::runtime_error("bad flag '" + std::string(s) + "'");
 }
 
-char single_char(const std::string& s, const char* what) {
-  if (s.size() != 1) {
-    throw std::runtime_error(std::string("'") + s + "' in " + what +
-                             " is not a single character");
-  }
+char single_char(std::string_view s) {
+  if (s.size() != 1) throw std::runtime_error("'" + std::string(s) + "' is not one character");
   return s[0];
 }
 
@@ -219,15 +50,22 @@ void serialize_robots(std::ostringstream& out, const std::vector<Robot>& robots)
   }
 }
 
-std::vector<Robot> parse_robots(Reader& in, long long n, const char* what) {
+/// A record count.  It only frames the records that follow and never sizes
+/// an allocation: vectors grow as records parse, so an oversized count fails
+/// at the first missing record.
+long long count_of(LineReader& in, std::string_view key) {
+  return in.number<long long>(in.field(key), 0);
+}
+
+std::vector<Robot> parse_robots(LineReader& in, std::string_view key) {
   std::vector<Robot> robots;
+  const long long n = count_of(in, key);
   for (long long i = 0; i < n; ++i) {
-    const auto f = fields(in.expect("robot"), 4, "robot");
-    if (to_ll(f[0], what) != i) {
-      throw std::runtime_error(std::string(what) + " robots out of order");
-    }
-    robots.push_back(Robot{.pos = {to_fitting<int>(f[1], what), to_fitting<int>(f[2], what)},
-                           .color = color_from_letter(single_char(f[3], what))});
+    const auto f = in.fields("robot", 4);
+    if (in.number<long long>(f[0]) != i) throw std::runtime_error("robots out of order");
+    // Coordinates must fit int: narrowed, they would replay another run.
+    robots.push_back(Robot{.pos = {in.number<int>(f[1]), in.number<int>(f[2])},
+                           .color = color_from_letter(single_char(f[3]))});
   }
   return robots;
 }
@@ -399,22 +237,16 @@ std::string recording_serialize(const Recording& rec) {
   out << "unique-actions " << (rec.prov.require_unique_actions ? 1 : 0) << '\n';
   // The algorithm text rides along verbatim (dsl lines never need escaping);
   // the line count frames it so the parser needs no sentinel.
-  std::vector<std::string> alg_lines;
-  {
-    std::istringstream alg(rec.prov.algorithm_text);
-    std::string line;
-    while (std::getline(alg, line)) alg_lines.push_back(line);
-  }
+  std::vector<std::string_view> alg_lines;
+  for (LineReader alg(rec.prov.algorithm_text); !alg.at_end();) alg_lines.push_back(alg.line());
   out << "algorithm " << alg_lines.size() << '\n';
-  for (const std::string& line : alg_lines) out << line << '\n';
+  for (const std::string_view line : alg_lines) out << line << '\n';
   out << "init " << rec.initial.size() << '\n';
   serialize_robots(out, rec.initial);
   out << "diagnosis " << to_string(rec.diagnosis) << '\n';
   if (rec.cycle.has_value()) {
-    char hex[24];
-    std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(rec.cycle->hash));
-    out << "cycle " << rec.cycle->start << ' ' << rec.cycle->length << ' ' << hex << '\n';
+    out << "cycle " << rec.cycle->start << ' ' << rec.cycle->length << ' '
+        << hex16(rec.cycle->hash) << '\n';
   }
   out << "events-seen " << rec.events_seen << '\n';
   out << "events " << rec.events.size() << '\n';
@@ -440,98 +272,110 @@ std::string recording_serialize(const Recording& rec) {
 
 namespace {
 
-Recording parse_recording(Reader& in) {
+Recording parse_recording(LineReader& in) {
   Recording rec;
-  rec.version = static_cast<int>(to_ll(in.expect("lumirec"), "lumirec"));
+  rec.version = in.number<int>(in.field("lumirec"));
   if (rec.version != 1) {
     throw std::runtime_error("unsupported lumirec version " + std::to_string(rec.version));
   }
-  const long long capacity = to_ll(in.expect("capacity"), "capacity");
-  if (capacity < 1) throw std::runtime_error("capacity must be >= 1");
-  rec.options.capacity = static_cast<std::size_t>(capacity);
-  rec.options.detect_cycles = to_bool(in.expect("detect-cycles"), "detect-cycles");
-  rec.prov.section = decode_token(in.expect("section"));
+  rec.options.capacity = in.number<std::size_t>(in.field("capacity"), 1);
+  rec.options.detect_cycles = to_bool(in.field("detect-cycles"));
+  rec.prov.section = decode_token(in.field("section"));
   {
-    const auto f = fields(in.expect("scheduler"), 2, "scheduler");
+    const auto f = in.fields("scheduler", 2);
     rec.prov.scheduler = decode_token(f[0]);
-    rec.prov.seed = to_fitting<unsigned>(f[1], "scheduler seed");
+    rec.prov.seed = in.number<unsigned>(f[1]);
   }
   {
-    const auto f = fields(in.expect("dims"), 2, "dims");
-    rec.prov.rows = to_fitting<int>(f[0], "dims");
-    rec.prov.cols = to_fitting<int>(f[1], "dims");
+    const auto f = in.fields("dims", 2);
+    rec.prov.rows = in.number<int>(f[0]);
+    rec.prov.cols = in.number<int>(f[1]);
   }
-  rec.prov.topo_spec = decode_token(in.expect("topology"));
-  rec.prov.max_steps = static_cast<long>(to_ll(in.expect("max-steps"), "max-steps"));
-  rec.prov.require_unique_actions = to_bool(in.expect("unique-actions"), "unique-actions");
-  {
-    const long long n = to_count(in.expect("algorithm"), "algorithm");
-    std::string text_out;
-    for (long long i = 0; i < n; ++i) {
-      text_out += in.raw_line();
-      text_out += '\n';
-    }
-    rec.prov.algorithm_text = std::move(text_out);
+  rec.prov.topo_spec = decode_token(in.field("topology"));
+  rec.prov.max_steps = in.number<long>(in.field("max-steps"), 0);
+  rec.prov.require_unique_actions = to_bool(in.field("unique-actions"));
+  for (long long i = 0, n = count_of(in, "algorithm"); i < n; ++i) {
+    rec.prov.algorithm_text += in.line();
+    rec.prov.algorithm_text += '\n';
   }
-  rec.initial = parse_robots(in, to_count(in.expect("init"), "init"), "init");
-  rec.diagnosis = diagnosis_from_name(in.expect("diagnosis"));
-  if (in.peek_is("cycle")) {
-    const auto f = fields(in.expect("cycle"), 3, "cycle");
+  rec.initial = parse_robots(in, "init");
+  rec.diagnosis = diagnosis_from_name(std::string(in.field("diagnosis")));
+  if (in.next_is("cycle")) {
+    const auto f = in.fields("cycle", 3);
     Recorder::CycleWitness w;
-    w.start = static_cast<long>(to_ll(f[0], "cycle"));
-    w.length = static_cast<long>(to_ll(f[1], "cycle"));
-    w.hash = to_hash(f[2], "cycle");
+    w.start = in.number<long>(f[0]);
+    w.length = in.number<long>(f[1]);
+    if (!parse_hex16(f[2], w.hash)) {
+      throw std::runtime_error("'" + std::string(f[2]) + "' is not 16 hex digits");
+    }
     rec.cycle = w;
   }
-  rec.events_seen = to_count(in.expect("events-seen"), "events-seen");
-  const long long kept = to_count(in.expect("events"), "events");
-  for (long long i = 0; i < kept; ++i) {
-    const auto f = fields(in.expect("ev"), 9, "ev");
+  rec.events_seen = count_of(in, "events-seen");
+  // Events come as the engines emit them: instants never decrease and stay
+  // inside the step budget.
+  long first = 0;
+  for (long long i = 0, n = count_of(in, "events"); i < n; ++i) {
+    const auto f = in.fields("ev", 9);
     RecordedEvent ev;
-    ev.instant = static_cast<long>(to_ll(f[0], "ev"));
-    ev.kind = event_kind_from_name(f[1]);
-    ev.robot = static_cast<int>(to_ll(f[2], "ev"));
-    ev.rule_index = static_cast<int>(to_ll(f[3], "ev"));
-    ev.sym.rot = static_cast<std::uint8_t>(to_ll(f[4], "ev"));
-    ev.sym.mirror = to_bool(f[5], "ev");
-    ev.color_before = color_from_letter(single_char(f[6], "ev"));
-    ev.color_after = color_from_letter(single_char(f[7], "ev"));
-    ev.move = move_from_char(single_char(f[8], "ev"));
+    ev.instant = in.number<long>(f[0], first);
+    if (ev.instant >= rec.prov.max_steps) {
+      throw std::runtime_error("event instant " + std::to_string(ev.instant) +
+                               " is past max-steps");
+    }
+    first = ev.instant;
+    ev.kind = event_kind_from_name(std::string(f[1]));
+    ev.robot = in.number<int>(f[2]);
+    ev.rule_index = in.number<int>(f[3]);
+    ev.sym.rot = in.number<std::uint8_t>(f[4]);
+    if (ev.sym.rot > 3) throw std::runtime_error("rotation " + std::string(f[4]) + " is not 0-3");
+    ev.sym.mirror = to_bool(f[5]);
+    ev.color_before = color_from_letter(single_char(f[6]));
+    ev.color_after = color_from_letter(single_char(f[7]));
+    ev.move = move_from_char(single_char(f[8]));
     rec.events.push_back(ev);
   }
   {
-    const auto f = fields(in.expect("outcome"), 2, "outcome");
-    rec.terminated = to_bool(f[0], "outcome");
-    rec.explored_all = to_bool(f[1], "outcome");
+    const auto f = in.fields("outcome", 2);
+    rec.terminated = to_bool(f[0]);
+    rec.explored_all = to_bool(f[1]);
   }
   {
-    const auto f = fields(in.expect("stats"), 4, "stats");
-    rec.instants = static_cast<long>(to_ll(f[0], "stats"));
-    rec.activations = static_cast<long>(to_ll(f[1], "stats"));
-    rec.moves = static_cast<long>(to_ll(f[2], "stats"));
-    rec.color_changes = static_cast<long>(to_ll(f[3], "stats"));
+    const auto f = in.fields("stats", 4);
+    rec.instants = in.number<long>(f[0], 0);
+    rec.activations = in.number<long>(f[1], 0);
+    rec.moves = in.number<long>(f[2], 0);
+    rec.color_changes = in.number<long>(f[3], 0);
+  }
+  // A witness closes within the recorded run (start + length may overflow,
+  // so it is never formed).
+  const std::optional<Recorder::CycleWitness>& w = rec.cycle;
+  if (w && (w->start < 0 || w->length < 1 || w->start > rec.instants ||
+            w->length > rec.instants - w->start)) {
+    throw std::runtime_error("cycle witness ends outside the recorded instants");
   }
   {
-    const std::string rest = in.expect("failure");
-    if (rest == "ok") {
+    const auto f = in.fields("failure");
+    if (f.size() == 1 && f[0] == "ok") {
       rec.failure.clear();
-    } else if (rest.starts_with("err ")) {
-      rec.failure = decode_token(rest.substr(4));
+    } else if (f.size() == 2 && f[0] == "err") {
+      rec.failure = decode_token(f[1]);
       if (rec.failure.empty()) throw std::runtime_error("empty 'failure err'");
     } else {
-      throw std::runtime_error("bad failure line '" + rest + "'");
+      throw std::runtime_error("bad failure line");
     }
   }
-  rec.final_robots = parse_robots(in, to_count(in.expect("final"), "final"), "final");
-  if (!in.expect("end").empty()) throw std::runtime_error("malformed end marker");
-  if (!in.at_end()) throw std::runtime_error("content after end marker: '" + in.raw_line() + "'");
+  rec.final_robots = parse_robots(in, "final");
+  in.fields("end", 0);
+  if (!in.at_end()) {
+    throw std::runtime_error("content after end marker: '" + std::string(in.line()) + "'");
+  }
   return rec;
 }
 
 }  // namespace
 
 Recording recording_parse(const std::string& text) {
-  Reader in(text);
+  LineReader in(text);
   // The name parsers shared with other callers (event kinds, diagnoses,
   // color letters) throw std::invalid_argument; both kinds leave as the
   // documented std::runtime_error naming the line.
@@ -548,23 +392,13 @@ Recording recording_parse(const std::string& text) {
 }
 
 bool recording_write(const std::string& path, const Recording& rec) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out << recording_serialize(rec);
-    out.flush();
-    if (!out.good()) return false;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+  return write_file_atomic(path, recording_serialize(rec));
 }
 
 std::optional<Recording> recording_load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return recording_parse(buf.str());
+  const std::optional<std::string> text = read_file(path);
+  if (!text.has_value()) return std::nullopt;
+  return recording_parse(*text);
 }
 
 }  // namespace lumi::obs

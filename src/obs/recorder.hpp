@@ -232,9 +232,9 @@ Recording recording_parse(const std::string& text);
 /// Writes via tmp-file + atomic rename (a reader never sees a torn file);
 /// false on I/O failure.
 bool recording_write(const std::string& path, const Recording& rec);
-/// std::nullopt when the file cannot be opened; throws std::runtime_error on
-/// malformed content (a present-but-corrupt recording must not be mistaken
-/// for an absent one).
+/// std::nullopt when `path` does not exist; throws std::runtime_error when
+/// it exists but cannot be read, or on malformed content (a present but
+/// corrupt recording must not be mistaken for an absent one).
 std::optional<Recording> recording_load(const std::string& path);
 
 }  // namespace lumi::obs

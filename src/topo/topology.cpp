@@ -4,23 +4,11 @@
 #include <limits>
 
 #include "src/core/rng.hpp"
+#include "src/core/text.hpp"
 
 namespace lumi {
 
 namespace {
-
-/// Strict non-negative base-10 integer; false on empty/garbage/overflow.
-bool parse_uint(const std::string& s, long long& out) {
-  if (s.empty()) return false;
-  long long v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') return false;
-    v = v * 10 + (c - '0');
-    if (v > 1'000'000'000LL) return false;
-  }
-  out = v;
-  return true;
-}
 
 /// Node indices are int, so a box holds at most INT_MAX nodes.  Callers check
 /// before any per-node allocation, which would be gigabytes for such a box.
@@ -104,8 +92,8 @@ Topology Topology::with_hole(int rows, int cols, int hole_row, int hole_col, int
   }
   // Strictly interior: a full ring of free border nodes must remain, which
   // is what keeps the free nodes connected for any hole position.
-  if (hole_row < 1 || hole_col < 1 || hole_row + hole_rows > rows - 1 ||
-      hole_col + hole_cols > cols - 1) {
+  if (hole_row < 1 || hole_col < 1 || hole_rows > rows - 1 - hole_row ||
+      hole_cols > cols - 1 - hole_col) {
     throw std::invalid_argument("with_hole: hole must be strictly interior to the " +
                                 std::to_string(rows) + "x" + std::to_string(cols) + " box");
   }
@@ -217,9 +205,10 @@ namespace {
 /// Dimension-independent decoding of a spec string.
 struct ParsedSpec {
   Topology::Family family = Topology::Family::Grid;
-  long long hole_rows = 0, hole_cols = 0;  ///< holes
-  long long hole_row = -1, hole_col = -1;  ///< holes; -1 = center at build time
-  long long percent = 0, seed = 0;         ///< obstacles
+  int hole_rows = 0, hole_cols = 0;  ///< holes
+  int hole_row = -1, hole_col = -1;  ///< holes; -1 = center at build time
+  int percent = 0;                   ///< obstacles
+  unsigned seed = 0;                 ///< obstacles
 };
 
 /// Grammar check only — no topology is built, so a spec that merely does not
@@ -249,14 +238,14 @@ ParsedSpec parse_spec(const std::string& spec) {
       const std::string pos = body.substr(at + 1);
       body = body.substr(0, at);
       const std::size_t px = pos.find('x');
-      if (px == std::string::npos || !parse_uint(pos.substr(0, px), out.hole_row) ||
-          !parse_uint(pos.substr(px + 1), out.hole_col)) {
+      if (px == std::string::npos || !parse_number(pos.substr(0, px), out.hole_row, 0) ||
+          !parse_number(pos.substr(px + 1), out.hole_col, 0)) {
         throw bad("expected holes:HxW@RxC");
       }
     }
     const std::size_t x = body.find('x');
-    if (x == std::string::npos || !parse_uint(body.substr(0, x), out.hole_rows) ||
-        !parse_uint(body.substr(x + 1), out.hole_cols)) {
+    if (x == std::string::npos || !parse_number(body.substr(0, x), out.hole_rows, 0) ||
+        !parse_number(body.substr(x + 1), out.hole_cols, 0)) {
       throw bad("expected holes:HxW or holes:HxW@RxC");
     }
     if (out.hole_rows < 1 || out.hole_cols < 1) throw bad("hole dimensions must be positive");
@@ -266,8 +255,8 @@ ParsedSpec parse_spec(const std::string& spec) {
     out.family = Topology::Family::Obstacles;
     const std::string body = spec.substr(10);
     const std::size_t colon = body.find(':');
-    if (colon == std::string::npos || !parse_uint(body.substr(0, colon), out.percent) ||
-        !parse_uint(body.substr(colon + 1), out.seed)) {
+    if (colon == std::string::npos || !parse_number(body.substr(0, colon), out.percent, 0) ||
+        !parse_number(body.substr(colon + 1), out.seed)) {
       throw bad("expected obstacles:PERCENT:SEED");
     }
     if (out.percent > 90) throw bad("percent must be in [0, 90]");
@@ -286,14 +275,14 @@ Topology make_topology(const std::string& spec, int rows, int cols) {
     case Topology::Family::Torus: return Topology::torus(rows, cols);
     case Topology::Family::Holes: {
       if (p.hole_rows == 0) return Topology::with_hole(rows, cols);  // auto
-      const long long r0 = p.hole_row >= 0 ? p.hole_row : (rows - p.hole_rows) / 2;
-      const long long c0 = p.hole_col >= 0 ? p.hole_col : (cols - p.hole_cols) / 2;
-      return Topology::with_hole(rows, cols, static_cast<int>(r0), static_cast<int>(c0),
-                                 static_cast<int>(p.hole_rows), static_cast<int>(p.hole_cols));
+      // Checked before `rows - hole_rows` is formed, which a negative `rows`
+      // could overflow.
+      check_dimensions(rows, cols);
+      const int r0 = p.hole_row >= 0 ? p.hole_row : (rows - p.hole_rows) / 2;
+      const int c0 = p.hole_col >= 0 ? p.hole_col : (cols - p.hole_cols) / 2;
+      return Topology::with_hole(rows, cols, r0, c0, p.hole_rows, p.hole_cols);
     }
-    case Topology::Family::Obstacles:
-      return Topology::obstacles(rows, cols, static_cast<int>(p.percent),
-                                 static_cast<unsigned>(p.seed));
+    case Topology::Family::Obstacles: return Topology::obstacles(rows, cols, p.percent, p.seed);
   }
   throw std::invalid_argument("make_topology: bad family");
 }

@@ -1,8 +1,9 @@
 #include "src/trace/report.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
+
+#include "src/core/text.hpp"
 
 namespace lumi {
 
@@ -58,32 +59,6 @@ void json_accumulator(std::ostringstream& out, const CellAccumulator& acc, const
 }
 
 }  // namespace
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (const char raw : s) {
-    const unsigned char c = static_cast<unsigned char>(raw);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(raw);
-        }
-    }
-  }
-  return out;
-}
 
 std::string csv_field(const std::string& s) {
   if (s.find_first_of(",\"\r\n") == std::string::npos) return s;
@@ -157,13 +132,6 @@ std::string campaign_json(const campaign::CampaignSummary& summary) {
   json_accumulator(out, summary.total, "  ");
   out << "\n}\n";
   return out.str();
-}
-
-bool write_text_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  out << content;
-  return static_cast<bool>(out);
 }
 
 }  // namespace lumi

@@ -9,10 +9,6 @@
 
 namespace lumi {
 
-/// Escapes `s` for embedding inside a JSON string literal (RFC 8259):
-/// quote, backslash and control characters.
-std::string json_escape(const std::string& s);
-
 /// Renders `s` as an RFC-4180 CSV field: quoted (with inner quotes doubled)
 /// iff it contains a comma, quote, CR or LF; returned verbatim otherwise.
 std::string csv_field(const std::string& s);
@@ -22,8 +18,5 @@ std::string campaign_csv(const campaign::CampaignSummary& summary);
 
 /// Pretty-printed JSON object: campaign metadata, per-cell summaries, totals.
 std::string campaign_json(const campaign::CampaignSummary& summary);
-
-/// Writes `content` to `path`; false (with no throw) on I/O failure.
-bool write_text_file(const std::string& path, const std::string& content);
 
 }  // namespace lumi

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "src/algorithms/registry.hpp"
+#include "src/core/text.hpp"
 #include "src/trace/report.hpp"
 
 namespace lumi::campaign {
@@ -137,6 +138,29 @@ TEST(IntRangeParsing, RejectsZeroAndNegativeSteps) {
   for (const char* bad : {"4..64:0", "4..64:-3", "4..64:-1"}) {
     EXPECT_FALSE(range_from_string(bad).has_value()) << bad;
   }
+}
+
+TEST(Aggregate, MergeOverflowThrowsAndChangesNothing) {
+  CellAccumulator a;
+  RunResult run;
+  run.terminated = run.explored_all = true;
+  run.stats.instants = 7;
+  a.add(run);
+  const auto expect_overflow = [&a](const CellAccumulator& other) {
+    const CellAccumulator before = a;
+    EXPECT_THROW(a.merge(other), std::overflow_error);
+    EXPECT_EQ(a, before);
+  };
+  CellAccumulator many_runs = a;
+  many_runs.runs = std::numeric_limits<long>::max();
+  expect_overflow(many_runs);
+  CellAccumulator big_sum = a;
+  big_sum.instants.sum = std::numeric_limits<long long>::max();
+  expect_overflow(big_sum);
+  // Merging what fits still works after a refused merge.
+  a.merge(a);
+  EXPECT_EQ(a.runs, 2);
+  EXPECT_EQ(a.instants.sum, 14);
 }
 
 TEST(IntRangeParsing, RejectsMalformedText) {

@@ -147,6 +147,13 @@ TEST(Dsl, MalformedIntegersQuoteTheToken) {
   expect_quoted("algorithm x\nmin-grid 2 wide\n", "wide");
   expect_quoted("algorithm x\ninit (0x,0)=G\n", "0x");
   expect_quoted("algorithm x\ninit (0,0,7)=G\n", "(0,0,7)");
+  expect_quoted("algorithm x\nphi +2\n", "+2");  // one number rule: no '+' sign
+  // A color listed past the node's robot capacity is a parse error naming
+  // the multiset, not a std::overflow_error escaping the parser.
+  const std::string crowd = "{" + std::string(31, 'G') + "}";
+  std::string listed = crowd;
+  for (std::size_t i = 2; i < listed.size() - 1; i += 2) listed[i] = ',';
+  expect_quoted("algorithm x\nrule R1 self=G E=" + listed + " -> G,Idle\n", listed);
 }
 
 TEST(Dsl, ValidateOffLoadsDefectiveTables) {

@@ -143,6 +143,16 @@ TEST(Checkpoint, MalformedInputsThrow) {
   expect_rejected(good + "end\n");
   // A negative seed would wrap into unsigned.
   expect_rejected(swap_line("seeds 0", "seeds 1 -1"));
+  // One number rule and single-space fields: no '+' sign, no doubled space,
+  // tab or trailing whitespace between fields.
+  const std::size_t cell_at = good.find("\ncell 0 ") + 1;
+  const std::string cell0 = good.substr(cell_at, good.find('\n', cell_at) - cell_at);
+  expect_rejected(swap_line(cell0, "cell 0 +" + cell0.substr(7)));
+  expect_rejected(swap_line(cell0, "cell 0  " + cell0.substr(7)));
+  expect_rejected(swap_line(cell0, cell0 + " "));
+  expect_rejected(swap_line(cell0, cell0 + "\t"));
+  expect_rejected(swap_line("acc 0 0 0 0", "acc 0\t0 0 0"));
+  expect_rejected(swap_line("acc 0 0 0 0", "acc 0 0 0 +0"));
 
   // Accumulators that no run could produce, each an edit of a cell holding
   // two runs (which parses back unchanged).
@@ -174,6 +184,9 @@ TEST(Checkpoint, MalformedInputsThrow) {
         a = {};  // an empty stream is all zeros
         a.instants.max = 5;
       },
+      // A sum outside [count * min, count * max]: LLONG_MAX would overflow a merge.
+      [](CellAccumulator& a) { a.instants.sum = std::numeric_limits<long long>::max(); },
+      [](CellAccumulator& a) { a.instants.sum = a.instants.min; },
   };
   for (const Edit edit : edits) {
     Checkpoint bad = ran;
@@ -206,6 +219,7 @@ TEST(Checkpoint, WriteThenLoadRoundTrips) {
   EXPECT_EQ(*loaded, ck);
   std::remove(path.c_str());
   EXPECT_FALSE(checkpoint_load(path).has_value());
+  EXPECT_THROW(checkpoint_load(testing::TempDir()), std::runtime_error);  // exists, unreadable
 }
 
 TEST(Checkpoint, FingerprintSeparatesMatrices) {

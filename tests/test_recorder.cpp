@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -133,6 +134,15 @@ TEST(RecorderDiagnosis, LivelockIsDiagnosedCycleWithCertifiedWitness) {
   EXPECT_EQ(rec.cycle->length, 2);  // G -> W -> G
   std::string why;
   EXPECT_TRUE(certify_cycle(rec, why)) << why;
+  // A witness must close within the recorded run: period 1000 divides no
+  // recorded instant, and LONG_MAX + 1 is not an instant at all.  Neither
+  // replays anything.
+  for (const auto& [start, length] : {std::pair{0L, 1000L}, std::pair{LONG_MAX, 1L}}) {
+    obs::Recording forged = rec;
+    forged.cycle = obs::Recorder::CycleWitness{start, length, rec.cycle->hash};
+    EXPECT_FALSE(certify_cycle(forged, why)) << start << "," << length;
+    EXPECT_NE(why.find("recorded instants"), std::string::npos) << why;
+  }
 }
 
 TEST(RecorderDiagnosis, BudgetLimitedTerminatingRunIsNeverCycle) {
@@ -192,6 +202,20 @@ TEST(RecorderFormat, SerializeParseRoundTripIsIdentity) {
     EXPECT_EQ(parsed, rec);
     EXPECT_EQ(obs::recording_serialize(parsed), text);  // canonical: fixed point
   }
+  // Tokens holding '%', a space and a newline; an empty one is a bare '%'.
+  obs::Recording odd = record_section("4.2.1", "grid", SchedKind::Fsync, 1, 5);
+  odd.prov.section = "";
+  odd.prov.scheduler = "fs%ync x\ny";
+  odd.prov.topo_spec = "gr id\n%";
+  odd.failure = "100% bad\nline";
+  const std::string text = obs::recording_serialize(odd);
+  EXPECT_NE(text.find("\nscheduler fs%25ync%20x%0ay "), std::string::npos) << text;
+  EXPECT_EQ(obs::recording_parse(text), odd);
+  EXPECT_EQ(obs::recording_serialize(obs::recording_parse(text)), text);
+  // Escapes decode in either hex case.
+  std::string upper = text;
+  upper.replace(upper.find("%0a"), 3, "%0A");
+  EXPECT_EQ(obs::recording_parse(upper), odd);
 }
 
 TEST(RecorderFormat, WriteThenLoadRoundTrips) {
@@ -205,6 +229,8 @@ TEST(RecorderFormat, WriteThenLoadRoundTrips) {
 
 TEST(RecorderFormat, LoadMissingFileIsNullopt) {
   EXPECT_FALSE(obs::recording_load(temp_path("no_such_recording.lumirec")).has_value());
+  // A path that exists but cannot be read is an error, not an absent file.
+  EXPECT_THROW(obs::recording_load(testing::TempDir()), std::runtime_error);
 }
 
 TEST(RecorderFormat, LoadMalformedFileThrows) {
@@ -274,6 +300,37 @@ TEST(RecorderFormat, LoadMalformedFileThrows) {
   // Any line after the end marker.
   expect_rejected(good + "end\n");
   expect_rejected(good + "\n");
+
+  // Values no run could produce are refused before they reach arithmetic:
+  // a negative budget or stat, event instants that decrease or leave
+  // [0, max-steps), a rotation outside 0-3, and a witness that does not
+  // close within the recorded instants.
+  using Edit = void (*)(obs::Recording&);
+  const Edit edits[] = {
+      [](obs::Recording& r) { r.prov.max_steps = -1; },
+      [](obs::Recording& r) { r.activations = -1; },
+      [](obs::Recording& r) { r.color_changes = -1; },
+      [](obs::Recording& r) { r.events[2].instant = 0; },
+      [](obs::Recording& r) { r.events.front().instant = -1; },
+      [](obs::Recording& r) { r.events.back().instant = r.prov.max_steps; },
+      [](obs::Recording& r) {
+        r.events.front().instant = LONG_MIN;
+        r.events.back().instant = LONG_MAX;
+      },
+      [](obs::Recording& r) { r.events.front().sym.rot = 4; },
+      [](obs::Recording& r) { r.cycle->start = -1; },
+      [](obs::Recording& r) { r.cycle->length = 0; },
+      [](obs::Recording& r) { r.cycle->length = 100000000; },
+      [](obs::Recording& r) { r.cycle->start = LONG_MAX; },
+  };
+  for (const Edit edit : edits) {
+    obs::Recording bad = rec;
+    edit(bad);
+    expect_rejected(obs::recording_serialize(bad));
+  }
+  // One number rule for every field: no '+' sign.
+  const std::string budget = "max-steps " + std::to_string(rec.prov.max_steps);
+  expect_rejected(swap_line(budget, "max-steps +" + std::to_string(rec.prov.max_steps)));
 }
 
 TEST(CheckRecording, SelfTest) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/text.hpp"
+
 namespace lumi {
 namespace {
 

@@ -187,6 +187,15 @@ TEST(TopologySpec, MalformedSpecsThrow) {
     EXPECT_FALSE(topology_spec_ok(spec, 6, 6)) << spec;
   }
   EXPECT_TRUE(topology_spec_ok("torus", 6, 6));
+  // Numbers parse whole or not at all, and a number that fits its field
+  // reaches the family's own checks instead of a fixed cap.
+  for (const char* spec : {"obstacles:+5:1", "obstacles:15:-1", "obstacles:15:4294967296",
+                           "holes:+2x3", "holes:2x3@1x2x", "holes:2147483648x1",
+                           "holes:2x3@1x2147483647", "holes:2147483647x2147483647@1x1"}) {
+    EXPECT_THROW(make_topology(spec, 6, 7), std::invalid_argument) << spec;
+  }
+  EXPECT_TRUE(topology_spec_parses("holes:2000000000x1"));
+  EXPECT_EQ(make_topology("obstacles:15:4294967295", 6, 7).spec(), "obstacles:15:4294967295");
 }
 
 // --- wraparound end to end --------------------------------------------------
