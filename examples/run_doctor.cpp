@@ -6,11 +6,14 @@
 //                                        timelines, cycle certification,
 //                                        replay verification
 //   run_doctor --verify FILE.lumirec     deterministic replay only; exits
-//                                        non-zero unless final configuration,
-//                                        stats and event tail are identical
+//                                        non-zero unless the re-recording
+//                                        equals the file, listing every
+//                                        differing field (recorded vs
+//                                        replayed)
 //   run_doctor --certify FILE.lumirec    replay the recorded cycle witness
 //                                        and check the configuration recurs
-//   run_doctor --diff A.lumirec B.lumirec  instant-by-instant diff
+//   run_doctor --diff A.lumirec B.lumirec  every differing field, A vs B,
+//                                        in the format --verify prints
 //   run_doctor --record=OUT.lumirec --section=4.2.1 [--rows=N] [--cols=N]
 //              [--topo=SPEC] [--sched=NAME] [--seed=N] [--max-steps=N]
 //              [--capacity=N] [--table=FILE.lumi]
@@ -61,13 +64,14 @@ obs::Recording load_or_die(const std::string& path) {
   return *rec;
 }
 
-int verify(const obs::Recording& rec, bool quiet) {
+int verify(const obs::Recording& rec) {
   const campaign::ReplayCheck check = campaign::replay_recording(rec);
   if (check.identical()) {
-    if (!quiet) std::printf("replay: identical (final configuration, stats, event tail)\n");
+    std::printf("replay: identical (final configuration, stats, event tail)\n");
     return 0;
   }
-  std::fprintf(stderr, "replay: DIVERGED — the recording does not reproduce:\n");
+  std::fprintf(stderr,
+               "replay: DIVERGED — the recording does not reproduce (recorded vs replayed):\n");
   for (const std::string& d : check.divergences) {
     std::fprintf(stderr, "  %s\n", d.c_str());
   }
@@ -111,7 +115,7 @@ int report(const std::string& path) {
   std::printf("%s\n", campaign::per_robot_timeline(rec).c_str());
   int status = 0;
   if (rec.cycle.has_value()) status |= certify(rec);
-  status |= verify(rec, /*quiet=*/false);
+  status |= verify(rec);
   return status;
 }
 
@@ -184,32 +188,21 @@ int record(int argc, char** argv) {
   } else {
     alg = algorithms::entry(section).make();
   }
-  const std::optional<campaign::SchedKind> kind = campaign::sched_from_name(sched_name);
-  if (!kind.has_value()) {
-    std::fprintf(stderr, "run_doctor: unknown scheduler '%s'\n", sched_name.c_str());
-    return 1;
-  }
-  const Topology topo = make_topology(topo_spec, rows, cols);
-
   // A hash revisit only proves a loop under a deterministic memoryless
-  // scheduler; arm the detector exactly there.
-  obs::Recorder recorder(
-      {.capacity = capacity, .detect_cycles = *kind == campaign::SchedKind::Fsync});
-  recorder.set_provenance({.section = section,
-                           .algorithm_text = dsl::serialize(alg),
-                           .topo_spec = topo.spec(),
-                           .rows = rows,
-                           .cols = cols,
-                           .scheduler = sched_name,
-                           .seed = seed,
-                           .max_steps = max_steps,
-                           .require_unique_actions = unique_actions});
-  RunOptions opts;
-  opts.max_steps = max_steps;
-  opts.require_unique_actions = unique_actions;
-  opts.recorder = &recorder;
-  const RunResult result = campaign::run_with_sched(CellPlan(alg, topo), *kind, seed, opts);
-  const obs::Recording rec = obs::make_recording(recorder, result);
+  // scheduler; arm the detector exactly there.  An unknown scheduler name
+  // throws from record_run.
+  const obs::Recording rec = campaign::record_run(
+      {.capacity = capacity,
+       .detect_cycles = campaign::sched_from_name(sched_name) == campaign::SchedKind::Fsync},
+      {.section = section,
+       .algorithm_text = dsl::serialize(alg),
+       .topo_spec = make_topology(topo_spec, rows, cols).spec(),
+       .rows = rows,
+       .cols = cols,
+       .scheduler = sched_name,
+       .seed = seed,
+       .max_steps = max_steps,
+       .require_unique_actions = unique_actions});
   if (!obs::recording_write(out_path, rec)) {
     std::fprintf(stderr, "run_doctor: cannot write '%s'\n", out_path.c_str());
     return 1;
@@ -229,19 +222,19 @@ int main(int argc, char** argv) {
       if (a.rfind("--record=", 0) == 0) return record(argc, argv);
     }
     if (args[0] == "--verify" && args.size() == 2) {
-      return verify(load_or_die(args[1]), /*quiet=*/false);
+      return verify(load_or_die(args[1]));
     }
     if (args[0] == "--certify" && args.size() == 2) {
       return certify(load_or_die(args[1]));
     }
     if (args[0] == "--diff" && args.size() == 3) {
-      const std::string diff =
+      const std::vector<std::string> diff =
           campaign::diff_recordings(load_or_die(args[1]), load_or_die(args[2]));
       if (diff.empty()) {
         std::printf("recordings identical\n");
         return 0;
       }
-      std::printf("%s", diff.c_str());
+      for (const std::string& line : diff) std::printf("%s\n", line.c_str());
       return 1;
     }
     if (args.size() == 1 && args[0][0] != '-') return report(args[0]);

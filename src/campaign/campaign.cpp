@@ -7,6 +7,7 @@
 
 #include "src/algorithms/registry.hpp"
 #include "src/analysis/rule_analysis.hpp"
+#include "src/campaign/doctor.hpp"
 #include "src/core/text.hpp"
 #include "src/dsl/dsl.hpp"
 #include "src/obs/metrics.hpp"
@@ -231,32 +232,27 @@ std::string sanitize_for_filename(const std::string& s) {
 bool capture_anomaly(const Cell& cell, unsigned seed, const RunOptions& base,
                      const AnomalyCapture& capture) {
   try {
-    const CellPlan plan = plan_cell(cell);
     // A hash revisit only proves non-termination when the scheduler is a
     // pure function of the configuration: FSYNC's first-behavior adversary
     // is; round-robin and the async engines carry private state, so their
-    // runs record without the cycle detector.
-    obs::Recorder rec({.capacity = 4096, .detect_cycles = cell.sched == SchedKind::Fsync});
-    rec.set_provenance({.section = cell.section,
-                        .algorithm_text = dsl::serialize(plan.alg),
-                        .topo_spec = plan.topo.spec(),
-                        .rows = cell.rows,
-                        .cols = cell.cols,
-                        .scheduler = to_string(cell.sched),
-                        .seed = seed,
-                        .max_steps = base.max_steps,
-                        .require_unique_actions = base.require_unique_actions});
-    // The job's budget and verifier carry over, so the re-run reproduces
-    // the anomaly exactly; the recorder replaces any trace.
-    RunOptions opts = base;
-    opts.record_trace = false;
-    opts.recorder = &rec;
-    const RunResult result = run_with_sched(plan, cell.sched, seed, opts);
+    // runs record without the cycle detector.  The job's budget and
+    // verifier carry over, so the re-run reproduces the anomaly exactly.
+    const obs::Recording rec = record_run(
+        {.capacity = 4096, .detect_cycles = cell.sched == SchedKind::Fsync},
+        {.section = cell.section,
+         .algorithm_text = dsl::serialize(algorithms::entry(cell.section).make()),
+         .topo_spec = make_topology(cell.topo, cell.rows, cell.cols).spec(),
+         .rows = cell.rows,
+         .cols = cell.cols,
+         .scheduler = to_string(cell.sched),
+         .seed = seed,
+         .max_steps = base.max_steps,
+         .require_unique_actions = base.require_unique_actions});
     const std::string name = "anomaly-" + sanitize_for_filename(cell.section) + "-" +
                              std::to_string(cell.rows) + "x" + std::to_string(cell.cols) + "-" +
                              sanitize_for_filename(cell.topo) + "-" + to_string(cell.sched) +
                              "-s" + std::to_string(seed) + ".lumirec";
-    return obs::recording_write(capture.dir + "/" + name, obs::make_recording(rec, result));
+    return obs::recording_write(capture.dir + "/" + name, rec);
   } catch (const std::exception&) {
     return false;  // capture must never kill the campaign it observes
   }

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "src/core/text.hpp"
 #include "src/dsl/dsl.hpp"
 #include "src/topo/topology.hpp"
 
@@ -14,22 +15,13 @@ namespace {
 /// Rebuilds the algorithm a recording embeds.  Unvalidated, non-strict: the
 /// doctor's whole purpose includes replaying *defective* tables (a livelock
 /// recording embeds a table no registry gate would admit).
-Algorithm algorithm_of(const obs::Recording& rec) {
-  return dsl::parse(rec.prov.algorithm_text, {.validate = false, .strict = false});
+Algorithm algorithm_of(const obs::Recorder::Provenance& prov) {
+  return dsl::parse(prov.algorithm_text, {.validate = false, .strict = false});
 }
 
-SchedKind sched_of(const obs::Recording& rec) {
-  const std::optional<SchedKind> kind = sched_from_name(rec.prov.scheduler);
-  if (!kind.has_value()) {
-    throw std::runtime_error("replay: unknown scheduler '" + rec.prov.scheduler + "'");
-  }
-  return *kind;
-}
-
-std::string robot_to_string(std::size_t i, const Robot& r) {
+std::string robot_to_string(const Robot& r) {
   std::ostringstream out;
-  out << "robot " << i << " (" << r.pos.row << "," << r.pos.col << ")="
-      << color_letter(r.color);
+  out << '(' << r.pos.row << ',' << r.pos.col << ")=" << color_letter(r.color);
   return out.str();
 }
 
@@ -46,19 +38,24 @@ std::string event_to_string(const obs::RecordedEvent& ev) {
   return out.str();
 }
 
-void diff_robots(const char* what, const std::vector<Robot>& want,
-                 const std::vector<Robot>& got, std::vector<std::string>& out) {
-  if (want.size() != got.size()) {
-    out.push_back(std::string(what) + ": robot count " + std::to_string(got.size()) +
-                  " != recorded " + std::to_string(want.size()));
-    return;
-  }
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    if (want[i] != got[i]) {
-      out.push_back(std::string(what) + ": replay " + robot_to_string(i, got[i]) +
-                    " != recorded " + robot_to_string(i, want[i]));
+std::string witness_to_string(const std::optional<obs::Recorder::CycleWitness>& w) {
+  if (!w.has_value()) return "none";
+  return std::to_string(w->start) + " " + std::to_string(w->length) + " " + hex16(w->hash);
+}
+
+/// The first line where two algorithm texts differ, both sides shown.
+std::string algorithm_difference(const std::string& a, const std::string& b) {
+  LineReader la(a);
+  LineReader lb(b);
+  while (!la.at_end() || !lb.at_end()) {
+    const std::string x(la.at_end() ? "(none)" : la.line());
+    const std::string y(lb.at_end() ? "(none)" : lb.line());
+    if (x != y) {
+      return "algorithm line " + std::to_string(std::max(la.lineno(), lb.lineno())) + ": '" +
+             x + "' vs '" + y + "'";
     }
   }
+  return "algorithm: texts differ only in line endings";
 }
 
 char timeline_char(const obs::RecordedEvent& ev) {
@@ -83,75 +80,25 @@ char timeline_char(const obs::RecordedEvent& ev) {
 
 }  // namespace
 
-ReplayCheck replay_recording(const obs::Recording& rec) {
-  const Algorithm alg = algorithm_of(rec);
-  const Topology topo = make_topology(rec.prov.topo_spec, rec.prov.rows, rec.prov.cols);
-  const SchedKind kind = sched_of(rec);
-
-  obs::Recorder recorder(rec.options);
-  recorder.set_provenance(rec.prov);
+obs::Recording record_run(const obs::Recorder::Options& options,
+                          const obs::Recorder::Provenance& prov) {
+  const Algorithm alg = algorithm_of(prov);
+  const Topology topo = make_topology(prov.topo_spec, prov.rows, prov.cols);
+  const std::optional<SchedKind> kind = sched_from_name(prov.scheduler);
+  if (!kind.has_value()) throw std::runtime_error("unknown scheduler '" + prov.scheduler + "'");
+  obs::Recorder recorder(options);
   RunOptions opts;
-  opts.max_steps = rec.prov.max_steps;
-  opts.require_unique_actions = rec.prov.require_unique_actions;
+  opts.max_steps = prov.max_steps;
+  opts.require_unique_actions = prov.require_unique_actions;
   opts.recorder = &recorder;
+  const RunResult result = run_with_sched(CellPlan(alg, topo), *kind, prov.seed, opts);
+  return obs::make_recording(recorder, prov, result);
+}
 
+ReplayCheck replay_recording(const obs::Recording& rec) {
   ReplayCheck check;
-  check.result = run_with_sched(CellPlan(alg, topo), kind, rec.prov.seed, opts);
-  check.replayed = obs::make_recording(recorder, check.result);
-
-  std::vector<std::string>& d = check.divergences;
-  diff_robots("initial configuration", rec.initial, check.replayed.initial, d);
-  diff_robots("final configuration", rec.final_robots, check.replayed.final_robots, d);
-  if (check.replayed.terminated != rec.terminated || check.replayed.explored_all != rec.explored_all) {
-    d.push_back("outcome: replay terminated=" + std::to_string(check.replayed.terminated) +
-                " explored=" + std::to_string(check.replayed.explored_all) +
-                " != recorded terminated=" + std::to_string(rec.terminated) +
-                " explored=" + std::to_string(rec.explored_all));
-  }
-  const auto stat = [&d](const char* name, long got, long want) {
-    if (got != want) {
-      d.push_back(std::string("stats.") + name + ": replay " + std::to_string(got) +
-                  " != recorded " + std::to_string(want));
-    }
-  };
-  stat("instants", check.replayed.instants, rec.instants);
-  stat("activations", check.replayed.activations, rec.activations);
-  stat("moves", check.replayed.moves, rec.moves);
-  stat("color_changes", check.replayed.color_changes, rec.color_changes);
-  if (check.replayed.failure != rec.failure) {
-    d.push_back("failure: replay '" + check.replayed.failure + "' != recorded '" + rec.failure +
-                "'");
-  }
-  if (check.replayed.diagnosis != rec.diagnosis) {
-    d.push_back("diagnosis: replay " + obs::to_string(check.replayed.diagnosis) +
-                " != recorded " + obs::to_string(rec.diagnosis));
-  }
-  if (check.replayed.cycle != rec.cycle) {
-    d.push_back("cycle witness: replay and recording disagree");
-  }
-  if (check.replayed.events_seen != rec.events_seen) {
-    d.push_back("events-seen: replay " + std::to_string(check.replayed.events_seen) +
-                " != recorded " + std::to_string(rec.events_seen));
-  }
-  if (check.replayed.events != rec.events) {
-    std::string detail = "event tail differs";
-    const std::size_t n = std::min(check.replayed.events.size(), rec.events.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!(check.replayed.events[i] == rec.events[i])) {
-        detail += ": first divergence at tail index " + std::to_string(i) + " — replay [" +
-                  event_to_string(check.replayed.events[i]) + "] != recorded [" +
-                  event_to_string(rec.events[i]) + "]";
-        break;
-      }
-    }
-    d.push_back(detail);
-  }
-  // Catch-all: the serialized bytes are the contract; any residual
-  // difference the field checks missed still fails the replay.
-  if (d.empty() &&
-      obs::recording_serialize(check.replayed) != obs::recording_serialize(rec)) {
-    d.push_back("serialized recordings differ");
-  }
+  check.replayed = record_run(rec.options, rec.prov);
+  check.divergences = diff_recordings(rec, check.replayed);
   return check;
 }
 
@@ -169,22 +116,21 @@ bool certify_cycle(const obs::Recording& rec, std::string& why) {
           ") does not lie within the " + std::to_string(rec.instants) + " recorded instants";
     return false;
   }
-  const Algorithm alg = algorithm_of(rec);
-  const Topology topo = make_topology(rec.prov.topo_spec, rec.prov.rows, rec.prov.cols);
-  RunOptions opts;
-  opts.record_trace = true;
-  opts.max_steps = start + length;
-  const RunResult replay =
-      run_with_sched(CellPlan(alg, topo), sched_of(rec), rec.prov.seed, opts);
-  // trace[i] is the configuration entering instant i (trace[0] = initial);
-  // the witness claims trace[start] recurs at trace[start + length].
-  if (replay.trace.size() <= static_cast<std::size_t>(start + length)) {
-    why = "execution ended after " + std::to_string(replay.stats.instants) +
+  // The final robots of a run cut at instant t are the configuration
+  // entering t; one ring slot each keeps memory flat in the witness length.
+  obs::Recorder::Provenance cut = rec.prov;
+  cut.max_steps = start;
+  const obs::Recording at_start = record_run({.capacity = 1}, cut);
+  cut.max_steps = start + length;
+  const obs::Recording at_end = record_run({.capacity = 1}, cut);
+  if (at_end.instants < start + length) {
+    why = "execution ended after " + std::to_string(at_end.instants) +
           " instants, before the witness cycle completed";
     return false;
   }
-  if (!replay.trace[static_cast<std::size_t>(start)].config.same_placement(
-          replay.trace[static_cast<std::size_t>(start + length)].config)) {
+  const Topology topo = make_topology(rec.prov.topo_spec, rec.prov.rows, rec.prov.cols);
+  if (!Configuration(topo, at_start.final_robots)
+           .same_placement(Configuration(topo, at_end.final_robots))) {
     why = "configurations at instants " + std::to_string(start) + " and " +
           std::to_string(start + length) +
           " differ — the recorded witness is a hash collision";
@@ -226,7 +172,7 @@ std::string per_robot_timeline(const obs::Recording& rec, int max_instants) {
 }
 
 std::string rule_fire_counts(const obs::Recording& rec) {
-  const Algorithm alg = algorithm_of(rec);
+  const Algorithm alg = algorithm_of(rec.prov);
   // Keyed by rule index: the indices come from the file, so nothing is sized
   // by them.
   std::map<int, long long> counts;
@@ -249,49 +195,59 @@ std::string rule_fire_counts(const obs::Recording& rec) {
   return out.str();
 }
 
-std::string diff_recordings(const obs::Recording& a, const obs::Recording& b,
-                            int max_report) {
-  if (obs::recording_serialize(a) == obs::recording_serialize(b)) return "";
-  std::ostringstream out;
-  const auto field = [&out](const char* name, const std::string& va, const std::string& vb) {
-    if (va != vb) out << name << ": '" << va << "' vs '" << vb << "'\n";
+std::vector<std::string> diff_recordings(const obs::Recording& a, const obs::Recording& b,
+                                         int max_events) {
+  std::vector<std::string> out;
+  const auto field = [&out](const std::string& name, const std::string& va,
+                            const std::string& vb) {
+    if (va != vb) out.push_back(name + ": '" + va + "' vs '" + vb + "'");
   };
+  const auto robots = [&field](const char* what, const std::vector<Robot>& ra,
+                               const std::vector<Robot>& rb) {
+    field(what, std::to_string(ra.size()), std::to_string(rb.size()));
+    for (std::size_t i = 0; i < std::min(ra.size(), rb.size()); ++i) {
+      field(what + std::string(" robot ") + std::to_string(i), robot_to_string(ra[i]),
+            robot_to_string(rb[i]));
+    }
+  };
+  using std::to_string;
+  field("capacity", to_string(a.options.capacity), to_string(b.options.capacity));
+  field("detect-cycles", to_string(a.options.detect_cycles), to_string(b.options.detect_cycles));
   field("section", a.prov.section, b.prov.section);
   field("scheduler", a.prov.scheduler, b.prov.scheduler);
-  field("seed", std::to_string(a.prov.seed), std::to_string(b.prov.seed));
-  field("dims", std::to_string(a.prov.rows) + "x" + std::to_string(a.prov.cols),
-        std::to_string(b.prov.rows) + "x" + std::to_string(b.prov.cols));
+  field("seed", to_string(a.prov.seed), to_string(b.prov.seed));
+  field("dims", to_string(a.prov.rows) + "x" + to_string(a.prov.cols),
+        to_string(b.prov.rows) + "x" + to_string(b.prov.cols));
   field("topology", a.prov.topo_spec, b.prov.topo_spec);
-  field("max-steps", std::to_string(a.prov.max_steps), std::to_string(b.prov.max_steps));
-  if (a.prov.algorithm_text != b.prov.algorithm_text) out << "algorithm text differs\n";
+  field("max-steps", to_string(a.prov.max_steps), to_string(b.prov.max_steps));
+  field("unique-actions", to_string(a.prov.require_unique_actions),
+        to_string(b.prov.require_unique_actions));
+  if (a.prov.algorithm_text != b.prov.algorithm_text) {
+    out.push_back(algorithm_difference(a.prov.algorithm_text, b.prov.algorithm_text));
+  }
+  robots("init", a.initial, b.initial);
   field("diagnosis", obs::to_string(a.diagnosis), obs::to_string(b.diagnosis));
-  if (a.events.size() != b.events.size()) {
-    out << "event tail: " << a.events.size() << " vs " << b.events.size() << " events\n";
-  }
+  field("cycle", witness_to_string(a.cycle), witness_to_string(b.cycle));
+  field("events-seen", to_string(a.events_seen), to_string(b.events_seen));
+  field("events", to_string(a.events.size()), to_string(b.events.size()));
   int reported = 0;
-  const std::size_t n = std::min(a.events.size(), b.events.size());
-  for (std::size_t i = 0; i < n && reported < max_report; ++i) {
-    if (!(a.events[i] == b.events[i])) {
-      out << "event[" << i << "]: [" << event_to_string(a.events[i]) << "] vs ["
-          << event_to_string(b.events[i]) << "]\n";
-      ++reported;
+  for (std::size_t i = 0; i < std::min(a.events.size(), b.events.size()); ++i) {
+    if (a.events[i] == b.events[i]) continue;
+    if (reported++ == max_events) {
+      out.push_back("(further event divergences elided)");
+      break;
     }
+    field("ev " + to_string(i), event_to_string(a.events[i]), event_to_string(b.events[i]));
   }
-  if (reported == max_report) out << "(further event divergences elided)\n";
-  field("outcome",
-        std::to_string(a.terminated) + "/" + std::to_string(a.explored_all),
-        std::to_string(b.terminated) + "/" + std::to_string(b.explored_all));
-  field("stats",
-        std::to_string(a.instants) + " " + std::to_string(a.activations) + " " +
-            std::to_string(a.moves) + " " + std::to_string(a.color_changes),
-        std::to_string(b.instants) + " " + std::to_string(b.activations) + " " +
-            std::to_string(b.moves) + " " + std::to_string(b.color_changes));
+  field("outcome", to_string(a.terminated) + " " + to_string(a.explored_all),
+        to_string(b.terminated) + " " + to_string(b.explored_all));
+  field("stats.instants", to_string(a.instants), to_string(b.instants));
+  field("stats.activations", to_string(a.activations), to_string(b.activations));
+  field("stats.moves", to_string(a.moves), to_string(b.moves));
+  field("stats.color_changes", to_string(a.color_changes), to_string(b.color_changes));
   field("failure", a.failure, b.failure);
-  std::vector<std::string> robot_diffs;
-  diff_robots("final configuration", a.final_robots, b.final_robots, robot_diffs);
-  for (const std::string& line : robot_diffs) out << line << '\n';
-  if (out.str().empty()) out << "recordings differ only in serialized detail\n";
-  return out.str();
+  robots("final", a.final_robots, b.final_robots);
+  return out;
 }
 
 }  // namespace lumi::campaign

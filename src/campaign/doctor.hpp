@@ -1,14 +1,16 @@
-// Recording doctor: deterministic replay, loop-witness certification and
-// human-readable diagnosis of `.lumirec` flight recordings
-// (src/obs/recorder.hpp, format in docs/FORMATS.md).
+// Recording doctor: the one way to run a recorded job (record_run), plus
+// deterministic replay, loop-witness certification and human-readable
+// diagnosis of `.lumirec` flight recordings (src/obs/recorder.hpp, format in
+// docs/FORMATS.md).
 //
-// Lives in the campaign layer (not obs) because replay needs the scheduler
-// funnel: a recording names (algorithm text, topology spec, scheduler kind,
-// seed), and run_with_sched re-executes exactly that.  Every scheduler is
-// deterministic given its seed, so a replay either reproduces the recorded
-// run byte-for-byte or the recording (or the simulator) is wrong — there is
-// no in-between, and replay_recording treats any divergence as a hard error
-// for its caller to surface.
+// Lives in the campaign layer (not obs) because a recorded run needs the
+// scheduler funnel: a recording names (algorithm text, topology spec,
+// scheduler kind, seed), and run_with_sched re-executes exactly that.  Every
+// scheduler is deterministic given its seed, so a capture is by construction
+// what replaying its provenance records: a replay either reproduces the
+// recorded run byte-for-byte or the recording (or the simulator) is wrong —
+// there is no in-between, and replay_recording treats any divergence as a
+// hard error for its caller to surface.
 #pragma once
 
 #include <string>
@@ -19,30 +21,39 @@
 
 namespace lumi::campaign {
 
-/// Replay result: the re-run's outcome, the re-recorded recording (same
-/// capacity/provenance as the original, so byte-identity with the original
-/// file is meaningful), and every divergence found.  An empty `divergences`
+/// Runs one recorded job: parses `prov.algorithm_text` unvalidated (a
+/// livelock recording embeds a table no registry gate would admit), builds
+/// the topology and scheduler it names, runs under the recorded budget and
+/// verifier with a recorder of `options`, and returns the recording.  Every
+/// recorded run — anomaly capture, `run_doctor --record`, replay and cycle
+/// certification — goes through here.  Throws std::runtime_error for an
+/// unknown scheduler name, std::invalid_argument for algorithm text or a
+/// topology spec that does not parse.
+obs::Recording record_run(const obs::Recorder::Options& options,
+                          const obs::Recorder::Provenance& prov);
+
+/// Replay result: the re-recording (same options and provenance as the
+/// original, so byte-identity with the original file is meaningful) and
+/// diff_recordings(original, re-recording).  An empty `divergences`
 /// certifies the recording: same final configuration, same stats, same
 /// events, same serialized bytes.
 struct ReplayCheck {
-  RunResult result;
   obs::Recording replayed;
   std::vector<std::string> divergences;
 
   bool identical() const { return divergences.empty(); }
 };
 
-/// Re-executes the recording and compares everything result-bearing.
-/// Throws when the recording cannot be replayed at all: std::runtime_error
-/// for an unknown scheduler name, std::invalid_argument for algorithm text
-/// or a topology spec that does not parse.
+/// record_run(rec.options, rec.prov), compared field by field with `rec`.
+/// Throws what record_run throws when the recording cannot be replayed.
 ReplayCheck replay_recording(const obs::Recording& rec);
 
-/// Certifies a cycle witness by replaying the run to instant
-/// `start + length` with a full trace and checking the configuration at
-/// `start` recurs (same placement, not just same hash — a hash collision
-/// cannot be certified).  `why` explains a false verdict.  False when the
-/// recording carries no witness.
+/// Certifies a cycle witness by re-recording the run twice, cut at instant
+/// `start` and at `start + length`, and checking the two final
+/// configurations are the same placement (not just the same hash — a hash
+/// collision cannot be certified).  Both re-recordings keep one event, so
+/// memory does not grow with the witness.  `why` explains a false verdict.
+/// False when the recording carries no witness.
 bool certify_cycle(const obs::Recording& rec, std::string& why);
 
 /// Per-robot ASCII timelines over the recorded event tail: one row per
@@ -56,10 +67,12 @@ std::string per_robot_timeline(const obs::Recording& rec, int max_instants = 96)
 /// algorithm text, most-fired first (ties by rule index).
 std::string rule_fire_counts(const obs::Recording& rec);
 
-/// Instant-by-instant diff of two recordings: provenance fields, then the
-/// first `max_report` event divergences, then outcome/stats/final robots.
-/// Empty string when the recordings are identical.
-std::string diff_recordings(const obs::Recording& a, const obs::Recording& b,
-                            int max_report = 10);
+/// The one comparison of two recordings: one line per differing field,
+/// `FIELD: <a's value> vs <b's value>`, in file order — the options,
+/// provenance and initial robots, the diagnosis, cycle witness and
+/// events-seen, the first `max_events` differing events, then the outcome,
+/// stats, failure and final robots.  Empty when the recordings are equal.
+std::vector<std::string> diff_recordings(const obs::Recording& a, const obs::Recording& b,
+                                         int max_events = 10);
 
 }  // namespace lumi::campaign

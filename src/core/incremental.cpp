@@ -68,11 +68,4 @@ void DirtyTracker::refresh() {
   counters_.reused += n - recomputed;
 }
 
-bool DirtyTracker::any_enabled() const {
-  for (const std::vector<Action>& a : actions_) {
-    if (!a.empty()) return true;
-  }
-  return false;
-}
-
 }  // namespace lumi

@@ -48,7 +48,6 @@ class DirtyTracker {
   bool enabled(int i) const { return !actions(i).empty(); }
   /// The full per-robot verdict table (the sync schedulers' input shape).
   const std::vector<std::vector<Action>>& all_actions() const { return actions_; }
-  bool any_enabled() const;
 
   const Counters& counters() const { return counters_; }
 

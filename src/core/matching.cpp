@@ -87,46 +87,6 @@ std::vector<Action> enabled_actions(const CompiledAlgorithm& alg, const Configur
   return enabled_actions(alg, take_snapshot(config, robot, alg.phi()));
 }
 
-std::optional<Action> first_enabled(const CompiledAlgorithm& alg, const Snapshot& snap) {
-  check_phi(alg, snap);
-  const int ks = alg.kernel_size();
-  // take_snapshot_into filled the planes while touching each cell; reusing
-  // them here saves the matcher a second 13-cell sweep per Look.
-  const SnapshotPlanes planes = snap.planes;
-  const std::span<const Sym> syms = alg.symmetries();
-  const std::span<const CompiledRule> rules = alg.rules_for(snap.self_color);
-  const GuardGroup& group = alg.guard_group(snap.self_color);
-  const std::size_t nsyms = syms.size();
-  for (std::size_t base = 0; base < group.lanes; base += kGuardLanesPerWord) {
-    std::uint64_t mask = guard_pass_mask(group, ks, planes, base / kGuardLanesPerWord);
-    while (mask != 0) {
-      const std::size_t lane = base + static_cast<std::size_t>(std::countr_zero(mask));
-      mask &= mask - 1;
-      const CompiledRule& rule = rules[lane / nsyms];
-      const std::size_t s = lane % nsyms;
-      const CellPattern* row = rule.patterns.data() + s * static_cast<std::size_t>(ks);
-      if (row_matches(row, snap, ks)) return make_action(rule, syms, s);
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<Action> first_enabled(const CompiledAlgorithm& alg, const Configuration& config,
-                                    int robot) {
-  return first_enabled(alg, take_snapshot(config, robot, alg.phi()));
-}
-
-bool is_enabled(const CompiledAlgorithm& alg, const Configuration& config, int robot) {
-  return first_enabled(alg, take_snapshot(config, robot, alg.phi())).has_value();
-}
-
-bool is_terminal(const CompiledAlgorithm& alg, const Configuration& config) {
-  for (int i = 0; i < config.num_robots(); ++i) {
-    if (is_enabled(alg, config, i)) return false;
-  }
-  return true;
-}
-
 // --- naive reference matcher -------------------------------------------------
 
 bool guard_matches(const Rule& rule, const Snapshot& snap, Sym sym) {
@@ -179,14 +139,6 @@ std::vector<Action> enabled_actions(const Algorithm& alg, const Snapshot& snap) 
 std::vector<Action> enabled_actions(const Algorithm& alg, const Configuration& config,
                                     int robot) {
   return enabled_actions(alg, take_snapshot(config, robot, alg.phi));
-}
-
-bool is_enabled(const Algorithm& alg, const Configuration& config, int robot) {
-  return is_enabled(*CompiledAlgorithm::get(alg), config, robot);
-}
-
-bool is_terminal(const Algorithm& alg, const Configuration& config) {
-  return is_terminal(*CompiledAlgorithm::get(alg), config);
 }
 
 }  // namespace lumi

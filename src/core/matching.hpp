@@ -52,17 +52,6 @@ std::vector<Action> enabled_actions(const CompiledAlgorithm& alg, const Configur
 void enabled_actions_into(const CompiledAlgorithm& alg, const Snapshot& snap,
                           std::vector<Action>& out);
 
-/// First enabled action in rule-then-symmetry order, or nullopt when the
-/// robot is disabled.  Allocation-free: no action vector is built.
-std::optional<Action> first_enabled(const CompiledAlgorithm& alg, const Snapshot& snap);
-std::optional<Action> first_enabled(const CompiledAlgorithm& alg, const Configuration& config,
-                                    int robot);
-
-bool is_enabled(const CompiledAlgorithm& alg, const Configuration& config, int robot);
-
-/// True when no robot is enabled (a terminal configuration for FSYNC/SSYNC).
-bool is_terminal(const CompiledAlgorithm& alg, const Configuration& config);
-
 // --- naive reference matcher -------------------------------------------------
 
 /// True if the snapshot matches `rule` through symmetry `sym` (sparse scan;
@@ -78,10 +67,5 @@ std::vector<Action> enabled_actions(const Algorithm& alg, const Snapshot& snap);
 
 /// Convenience overload snapshotting the live configuration.
 std::vector<Action> enabled_actions(const Algorithm& alg, const Configuration& config, int robot);
-
-bool is_enabled(const Algorithm& alg, const Configuration& config, int robot);
-
-/// True when no robot is enabled (a terminal configuration for FSYNC/SSYNC).
-bool is_terminal(const Algorithm& alg, const Configuration& config);
 
 }  // namespace lumi

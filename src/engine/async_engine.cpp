@@ -23,7 +23,7 @@ std::vector<int> AsyncEngine::effective_robots() const {
   std::vector<int> out;
   for (int i = 0; i < config_.num_robots(); ++i) {
     const bool idle_enabled =
-        tracker_ ? tracker_->enabled(i) : is_enabled(*compiled_, config_, i);
+        tracker_ ? tracker_->enabled(i) : !enabled_actions(*compiled_, config_, i).empty();
     if (phase(i) != Phase::Idle || idle_enabled) out.push_back(i);
   }
   return out;
@@ -112,12 +112,6 @@ void AsyncEngine::activate(int robot, std::optional<Action> chosen) {
   }
 }
 
-bool AsyncEngine::terminal() const {
-  for (int i = 0; i < config_.num_robots(); ++i) {
-    if (phase(i) != Phase::Idle) return false;
-  }
-  if (tracker_) return !tracker_->any_enabled();
-  return is_terminal(*compiled_, config_);
-}
+bool AsyncEngine::terminal() const { return effective_robots().empty(); }
 
 }  // namespace lumi

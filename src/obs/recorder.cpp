@@ -2,7 +2,6 @@
 
 #include <sstream>
 #include <stdexcept>
-#include <utility>
 
 #include "src/core/text.hpp"
 #include "src/engine/runner.hpp"
@@ -204,10 +203,11 @@ Diagnosis diagnose(const Recorder& rec, const RunResult& result) {
   return Diagnosis::VerifierFailure;
 }
 
-Recording make_recording(const Recorder& rec, const RunResult& result) {
+Recording make_recording(const Recorder& rec, const Recorder::Provenance& prov,
+                         const RunResult& result) {
   Recording out;
   out.options = rec.options();
-  out.prov = rec.provenance();
+  out.prov = prov;
   out.initial = rec.initial_robots();
   out.diagnosis = diagnose(rec, result);
   out.cycle = rec.cycle();
@@ -345,6 +345,11 @@ Recording parse_recording(LineReader& in) {
     rec.activations = in.number<long>(f[1], 0);
     rec.moves = in.number<long>(f[2], 0);
     rec.color_changes = in.number<long>(f[3], 0);
+  }
+  // No run executes more instants than its budget.
+  if (rec.instants > rec.prov.max_steps) {
+    throw std::runtime_error("stats instants " + std::to_string(rec.instants) +
+                             " exceed max-steps");
   }
   // A witness closes within the recorded run (start + length may overflow,
   // so it is never formed).

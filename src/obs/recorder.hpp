@@ -151,8 +151,6 @@ class Recorder {
   // --- consumer surface ----------------------------------------------------
 
   const Options& options() const { return options_; }
-  void set_provenance(Provenance prov) { prov_ = std::move(prov); }
-  const Provenance& provenance() const { return prov_; }
   const std::vector<Robot>& initial_robots() const { return initial_; }
   /// Robots of the last configuration seen (the final configuration once the
   /// run returned); the initial robots when no instant completed.
@@ -166,7 +164,6 @@ class Recorder {
   void push(const RecordedEvent& event);
 
   Options options_;
-  Provenance prov_;
   std::vector<Robot> initial_;
   std::vector<Robot> last_;
   std::vector<RecordedEvent> ring_;
@@ -219,9 +216,10 @@ struct Recording {
   friend bool operator==(const Recording&, const Recording&) = default;
 };
 
-/// Assembles a Recording from a recorder and the run's result (provenance
-/// must have been set on the recorder).
-Recording make_recording(const Recorder& rec, const RunResult& result);
+/// Assembles a Recording from a recorder, the provenance of the run it
+/// observed, and the run's result.
+Recording make_recording(const Recorder& rec, const Recorder::Provenance& prov,
+                         const RunResult& result);
 
 /// Canonical text serialization (docs/FORMATS.md#lumirec).  parse(serialize)
 /// is the identity, and serialize(parse(text)) == text for canonical files.

@@ -2,7 +2,6 @@
 // fires and resolve multi-behavior Look choices.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "src/core/rng.hpp"
@@ -18,7 +17,6 @@ class AsyncScheduler {
   /// Resolves a Look with several distinct behaviors.
   virtual Action pick_action(const AsyncEngine& engine, int robot,
                              const std::vector<Action>& choices) = 0;
-  virtual std::string name() const = 0;
 };
 
 /// Uniformly random event interleaving (fair with probability 1).
@@ -27,7 +25,6 @@ class AsyncRandomScheduler final : public AsyncScheduler {
   explicit AsyncRandomScheduler(unsigned seed);
   int pick_robot(const AsyncEngine&, const std::vector<int>&) override;
   Action pick_action(const AsyncEngine&, int, const std::vector<Action>&) override;
-  std::string name() const override { return "async-random"; }
 
  private:
   rng::Engine rng_;
@@ -41,7 +38,6 @@ class AsyncCentralizedScheduler final : public AsyncScheduler {
   AsyncCentralizedScheduler() = default;
   int pick_robot(const AsyncEngine&, const std::vector<int>&) override;
   Action pick_action(const AsyncEngine&, int, const std::vector<Action>&) override;
-  std::string name() const override { return "async-centralized"; }
 
  private:
   int next_ = 0;
@@ -55,7 +51,6 @@ class AsyncStaleStressScheduler final : public AsyncScheduler {
   explicit AsyncStaleStressScheduler(unsigned seed);
   int pick_robot(const AsyncEngine&, const std::vector<int>&) override;
   Action pick_action(const AsyncEngine&, int, const std::vector<Action>&) override;
-  std::string name() const override { return "async-stale-stress"; }
 
  private:
   rng::Engine rng_;

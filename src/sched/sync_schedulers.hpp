@@ -28,7 +28,6 @@ class SyncScheduler {
   /// terminating instant.
   virtual void select(const std::vector<std::vector<Action>>& enabled,
                       std::vector<RobotAction>& out) = 0;
-  virtual std::string name() const = 0;
 };
 
 /// FSYNC: every enabled robot acts every instant.  Among multiple enabled
@@ -37,7 +36,6 @@ class FsyncScheduler final : public SyncScheduler {
  public:
   void select(const std::vector<std::vector<Action>>& enabled,
               std::vector<RobotAction>& out) override;
-  std::string name() const override { return "fsync"; }
 };
 
 /// SSYNC: a uniformly random nonempty subset of the enabled robots acts; a
@@ -47,7 +45,6 @@ class SsyncRandomScheduler final : public SyncScheduler {
   explicit SsyncRandomScheduler(unsigned seed);
   void select(const std::vector<std::vector<Action>>& enabled,
               std::vector<RobotAction>& out) override;
-  std::string name() const override { return "ssync-random"; }
 
  private:
   rng::Engine rng_;
@@ -61,7 +58,6 @@ class SsyncRoundRobinScheduler final : public SyncScheduler {
   SsyncRoundRobinScheduler() = default;
   void select(const std::vector<std::vector<Action>>& enabled,
               std::vector<RobotAction>& out) override;
-  std::string name() const override { return "ssync-round-robin"; }
 
  private:
   int next_ = 0;

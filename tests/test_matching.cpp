@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/engine/async_engine.hpp"
+
 namespace lumi {
 namespace {
 
@@ -135,9 +137,11 @@ TEST(Matching, IsTerminalChecksAllRobots) {
   const Algorithm alg = tiny_algorithm(Chirality::Common);
   const Grid grid(2, 3);
   Configuration moving = make_configuration(grid, {{{0, 0}, {G}}, {{0, 1}, {W}}});
-  EXPECT_FALSE(is_terminal(alg, moving));
   Configuration still = make_configuration(grid, {{{0, 0}, {G}}, {{1, 2}, {W}}});
-  EXPECT_TRUE(is_terminal(alg, still));
+  for (const bool incremental : {true, false}) {
+    EXPECT_FALSE(AsyncEngine(alg, moving, incremental).terminal()) << incremental;
+    EXPECT_TRUE(AsyncEngine(alg, still, incremental).terminal()) << incremental;
+  }
 }
 
 }  // namespace

@@ -47,28 +47,21 @@ std::string slurp(const std::string& path) {
   return out.str();
 }
 
-/// Records one run of `alg` exactly the way capture_anomaly does: cycle
-/// detector armed only under FSYNC, provenance carrying everything a replay
-/// needs.
-obs::Recording record_run(const Algorithm& alg, const std::string& section,
+/// Records one run of `alg` through record_run with capture_anomaly's
+/// options: cycle detector armed only under FSYNC.
+obs::Recording record_alg(const Algorithm& alg, const std::string& section,
                           const std::string& topo_spec, int rows, int cols, SchedKind sched,
                           unsigned seed, long max_steps, std::size_t capacity = 4096) {
-  const Topology topo = make_topology(topo_spec, rows, cols);
-  obs::Recorder rec({.capacity = capacity, .detect_cycles = sched == SchedKind::Fsync});
-  rec.set_provenance({.section = section,
-                      .algorithm_text = dsl::serialize(alg),
-                      .topo_spec = topo.spec(),
-                      .rows = rows,
-                      .cols = cols,
-                      .scheduler = to_string(sched),
-                      .seed = seed,
-                      .max_steps = max_steps,
-                      .require_unique_actions = false});
-  RunOptions opts;
-  opts.max_steps = max_steps;
-  opts.recorder = &rec;
-  const RunResult result = run_with_sched(CellPlan(alg, topo), sched, seed, opts);
-  return obs::make_recording(rec, result);
+  return record_run({.capacity = capacity, .detect_cycles = sched == SchedKind::Fsync},
+                    {.section = section,
+                     .algorithm_text = dsl::serialize(alg),
+                     .topo_spec = make_topology(topo_spec, rows, cols).spec(),
+                     .rows = rows,
+                     .cols = cols,
+                     .scheduler = to_string(sched),
+                     .seed = seed,
+                     .max_steps = max_steps,
+                     .require_unique_actions = false});
 }
 
 obs::Recording record_section(const std::string& section, const std::string& topo_spec,
@@ -76,7 +69,7 @@ obs::Recording record_section(const std::string& section, const std::string& top
   const Algorithm alg = algorithms::entry(section).make();
   const int rows = std::max(alg.min_rows, 4);
   const int cols = std::max(alg.min_cols, 5);
-  return record_run(alg, section, topo_spec, rows, cols, sched, seed, max_steps);
+  return record_alg(alg, section, topo_spec, rows, cols, sched, seed, max_steps);
 }
 
 Algorithm blinker() {
@@ -127,7 +120,7 @@ TEST(RecorderReplay, SeedDivergenceIsReported) {
 TEST(RecorderDiagnosis, LivelockIsDiagnosedCycleWithCertifiedWitness) {
   const Algorithm alg = blinker();
   const obs::Recording rec =
-      record_run(alg, "", "grid", alg.min_rows, alg.min_cols, SchedKind::Fsync, 1, 25);
+      record_alg(alg, "", "grid", alg.min_rows, alg.min_cols, SchedKind::Fsync, 1, 25);
   ASSERT_EQ(rec.diagnosis, obs::Diagnosis::Cycle);
   ASSERT_TRUE(rec.cycle.has_value());
   EXPECT_EQ(rec.cycle->start, 0);
@@ -143,6 +136,19 @@ TEST(RecorderDiagnosis, LivelockIsDiagnosedCycleWithCertifiedWitness) {
     EXPECT_FALSE(certify_cycle(forged, why)) << start << "," << length;
     EXPECT_NE(why.find("recorded instants"), std::string::npos) << why;
   }
+  // An in-range witness whose placements do not recur: G at 0, W at 1.
+  obs::Recording odd = rec;
+  odd.cycle = obs::Recorder::CycleWitness{0, 1, rec.cycle->hash};
+  EXPECT_FALSE(certify_cycle(odd, why));
+  EXPECT_NE(why.find("differ"), std::string::npos) << why;
+  // A witness past the end of a run that terminates: 4.2.1 on 4x5 stops
+  // after 17 instants, so a recording claiming 27 cannot close (0, 22).
+  obs::Recording done = record_section("4.2.1", "grid", SchedKind::Fsync, 1, 100000);
+  ASSERT_EQ(done.instants, 17);
+  done.instants = 27;
+  done.cycle = obs::Recorder::CycleWitness{0, 22, 0};
+  EXPECT_FALSE(certify_cycle(done, why));
+  EXPECT_NE(why.find("ended after 17 instants"), std::string::npos) << why;
 }
 
 TEST(RecorderDiagnosis, BudgetLimitedTerminatingRunIsNeverCycle) {
@@ -173,11 +179,11 @@ TEST(RecorderDiagnosis, CertifyRejectsRecordingWithoutWitness) {
 TEST(RecorderRing, KeepsNewestEventsOldestFirst) {
   const Algorithm alg = algorithms::entry("4.2.1").make();
   const obs::Recording full =
-      record_run(alg, "4.2.1", "grid", 4, 5, SchedKind::Fsync, 1, 100000);
+      record_alg(alg, "4.2.1", "grid", 4, 5, SchedKind::Fsync, 1, 100000);
   ASSERT_GT(full.events_seen, 8);
   ASSERT_EQ(static_cast<long long>(full.events.size()), full.events_seen);
 
-  const obs::Recording capped = record_run(alg, "4.2.1", "grid", 4, 5, SchedKind::Fsync, 1,
+  const obs::Recording capped = record_alg(alg, "4.2.1", "grid", 4, 5, SchedKind::Fsync, 1,
                                            100000, /*capacity=*/8);
   EXPECT_EQ(capped.events_seen, full.events_seen);
   ASSERT_EQ(capped.events.size(), 8u);
@@ -187,7 +193,7 @@ TEST(RecorderRing, KeepsNewestEventsOldestFirst) {
 
   // A capacity is a bound, never an up-front allocation: a file may name
   // any capacity >= 1, and replay builds its recorder from that number.
-  const obs::Recording roomy = record_run(alg, "4.2.1", "grid", 4, 5, SchedKind::Fsync, 1,
+  const obs::Recording roomy = record_alg(alg, "4.2.1", "grid", 4, 5, SchedKind::Fsync, 1,
                                           100000, /*capacity=*/1'000'000'000'000);
   EXPECT_EQ(roomy.events, full.events);
 }
@@ -254,7 +260,7 @@ TEST(RecorderFormat, LoadMalformedFileThrows) {
   // counts, a capacity below 1, and hashes that are not 16 hex digits.
   const Algorithm alg = blinker();
   const obs::Recording rec =
-      record_run(alg, "", "grid", alg.min_rows, alg.min_cols, SchedKind::Fsync, 1, 25);
+      record_alg(alg, "", "grid", alg.min_rows, alg.min_cols, SchedKind::Fsync, 1, 25);
   ASSERT_TRUE(rec.cycle.has_value());
   const std::string good = obs::recording_serialize(rec);
   const auto swap_line = [&good](const std::string& from, const std::string& to) {
@@ -302,9 +308,9 @@ TEST(RecorderFormat, LoadMalformedFileThrows) {
   expect_rejected(good + "\n");
 
   // Values no run could produce are refused before they reach arithmetic:
-  // a negative budget or stat, event instants that decrease or leave
-  // [0, max-steps), a rotation outside 0-3, and a witness that does not
-  // close within the recorded instants.
+  // a negative budget or stat, more instants than the budget, event
+  // instants that decrease or leave [0, max-steps), a rotation outside 0-3,
+  // and a witness that does not close within the recorded instants.
   using Edit = void (*)(obs::Recording&);
   const Edit edits[] = {
       [](obs::Recording& r) { r.prov.max_steps = -1; },
@@ -322,6 +328,13 @@ TEST(RecorderFormat, LoadMalformedFileThrows) {
       [](obs::Recording& r) { r.cycle->length = 0; },
       [](obs::Recording& r) { r.cycle->length = 100000000; },
       [](obs::Recording& r) { r.cycle->start = LONG_MAX; },
+      [](obs::Recording& r) { r.instants = r.prov.max_steps + 1; },
+      // A witness that closes inside its own stats, which claim 10^8
+      // instants of a 25-instant budget.
+      [](obs::Recording& r) {
+        r.cycle = obs::Recorder::CycleWitness{1, 99999998, r.cycle->hash};
+        r.instants = 100000000;
+      },
   };
   for (const Edit edit : edits) {
     obs::Recording bad = rec;
@@ -396,15 +409,27 @@ TEST(RecorderDoctor, TimelineAndRuleCountsRender) {
 
 TEST(RecorderDoctor, DiffIsEmptyOnIdenticalAndNamesDivergence) {
   const obs::Recording a = record_section("4.2.1", "grid", SchedKind::Fsync, 1, 100000);
-  obs::Recording b = a;
-  EXPECT_EQ(diff_recordings(a, b), "");
-  b.prov.seed = 99;
-  const std::string diff = diff_recordings(a, b);
-  EXPECT_NE(diff.find("seed"), std::string::npos);
-  obs::Recording c = a;
-  ASSERT_FALSE(c.events.empty());
-  c.events.front().robot += 1;
-  EXPECT_FALSE(diff_recordings(a, c).empty());
+  EXPECT_TRUE(diff_recordings(a, a).empty());
+  // Each edit shows up as its own line, named by the field and giving both
+  // values, A first.
+  using Edit = void (*)(obs::Recording&);
+  const std::pair<Edit, std::string> edits[] = {
+      {[](obs::Recording& r) { r.prov.seed = 99; }, "seed: '1' vs '99'"},
+      {[](obs::Recording& r) { r.options.capacity = 8; }, "capacity: '4096' vs '8'"},
+      {[](obs::Recording& r) { r.initial.front().pos.col += 1; }, "init robot 0: "},
+      {[](obs::Recording& r) { r.cycle = obs::Recorder::CycleWitness{1, 2, 3}; },
+       "cycle: 'none' vs '1 2 0000000000000003'"},
+      {[](obs::Recording& r) { r.events_seen += 1; }, "events-seen: "},
+      {[](obs::Recording& r) { r.events.front().robot += 1; }, "ev 0: "},
+      {[](obs::Recording& r) { r.final_robots.pop_back(); }, "final: "},
+  };
+  for (const auto& [edit, want] : edits) {
+    obs::Recording b = a;
+    edit(b);
+    const std::vector<std::string> diff = diff_recordings(a, b);
+    ASSERT_EQ(diff.size(), 1u) << want;
+    EXPECT_TRUE(diff.front().starts_with(want)) << diff.front();
+  }
 }
 
 // --- campaign capture -------------------------------------------------------
