@@ -65,14 +65,14 @@ obs::Recording load_or_die(const std::string& path) {
 }
 
 int verify(const obs::Recording& rec) {
-  const campaign::ReplayCheck check = campaign::replay_recording(rec);
-  if (check.identical()) {
+  const std::vector<std::string> divergences = campaign::replay_recording(rec);
+  if (divergences.empty()) {
     std::printf("replay: identical (final configuration, stats, event tail)\n");
     return 0;
   }
   std::fprintf(stderr,
                "replay: DIVERGED — the recording does not reproduce (recorded vs replayed):\n");
-  for (const std::string& d : check.divergences) {
+  for (const std::string& d : divergences) {
     std::fprintf(stderr, "  %s\n", d.c_str());
   }
   return 1;
@@ -188,12 +188,9 @@ int record(int argc, char** argv) {
   } else {
     alg = algorithms::entry(section).make();
   }
-  // A hash revisit only proves a loop under a deterministic memoryless
-  // scheduler; arm the detector exactly there.  An unknown scheduler name
-  // throws from record_run.
+  // An unknown scheduler name throws from record_run.
   const obs::Recording rec = campaign::record_run(
-      {.capacity = capacity,
-       .detect_cycles = campaign::sched_from_name(sched_name) == campaign::SchedKind::Fsync},
+      campaign::capture_options(sched_name, capacity),
       {.section = section,
        .algorithm_text = dsl::serialize(alg),
        .topo_spec = make_topology(topo_spec, rows, cols).spec(),

@@ -232,22 +232,19 @@ std::string sanitize_for_filename(const std::string& s) {
 bool capture_anomaly(const Cell& cell, unsigned seed, const RunOptions& base,
                      const AnomalyCapture& capture) {
   try {
-    // A hash revisit only proves non-termination when the scheduler is a
-    // pure function of the configuration: FSYNC's first-behavior adversary
-    // is; round-robin and the async engines carry private state, so their
-    // runs record without the cycle detector.  The job's budget and
-    // verifier carry over, so the re-run reproduces the anomaly exactly.
-    const obs::Recording rec = record_run(
-        {.capacity = 4096, .detect_cycles = cell.sched == SchedKind::Fsync},
-        {.section = cell.section,
-         .algorithm_text = dsl::serialize(algorithms::entry(cell.section).make()),
-         .topo_spec = make_topology(cell.topo, cell.rows, cell.cols).spec(),
-         .rows = cell.rows,
-         .cols = cell.cols,
-         .scheduler = to_string(cell.sched),
-         .seed = seed,
-         .max_steps = base.max_steps,
-         .require_unique_actions = base.require_unique_actions});
+    // The job's budget and verifier carry over, so the re-run reproduces the
+    // anomaly exactly.
+    const obs::Recorder::Provenance prov{
+        .section = cell.section,
+        .algorithm_text = dsl::serialize(algorithms::entry(cell.section).make()),
+        .topo_spec = make_topology(cell.topo, cell.rows, cell.cols).spec(),
+        .rows = cell.rows,
+        .cols = cell.cols,
+        .scheduler = to_string(cell.sched),
+        .seed = seed,
+        .max_steps = base.max_steps,
+        .require_unique_actions = base.require_unique_actions};
+    const obs::Recording rec = record_run(capture_options(prov.scheduler, 4096), prov);
     const std::string name = "anomaly-" + sanitize_for_filename(cell.section) + "-" +
                              std::to_string(cell.rows) + "x" + std::to_string(cell.cols) + "-" +
                              sanitize_for_filename(cell.topo) + "-" + to_string(cell.sched) +

@@ -181,9 +181,9 @@ struct AnomalyCapture {
   std::size_t limit = 8;  ///< max recordings per campaign (per shard)
 };
 
-/// Re-records one anomalous job through record_run (src/campaign/doctor.hpp;
-/// cycle detection armed for deterministic memoryless schedulers), so the
-/// file is by construction what replaying its provenance records, and writes
+/// Re-records one anomalous job through record_run with 4096-slot
+/// capture_options (src/campaign/doctor.hpp), so the file is by
+/// construction what replaying its provenance records, and writes
 /// `dir/anomaly-<cell>-s<seed>.lumirec`.  Never throws — a capture failure
 /// must not kill the campaign; returns whether a file was written.
 bool capture_anomaly(const Cell& cell, unsigned seed, const RunOptions& base,

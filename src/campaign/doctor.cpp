@@ -12,6 +12,9 @@
 namespace lumi::campaign {
 namespace {
 
+/// diff_recordings names at most this many differing events.
+constexpr int kMaxEventLines = 10;
+
 /// Rebuilds the algorithm a recording embeds.  Unvalidated, non-strict: the
 /// doctor's whole purpose includes replaying *defective* tables (a livelock
 /// recording embeds a table no registry gate would admit).
@@ -28,8 +31,8 @@ std::string robot_to_string(const Robot& r) {
 std::string event_to_string(const obs::RecordedEvent& ev) {
   std::ostringstream out;
   out << "instant " << ev.instant << ' ' << obs::to_string(ev.kind) << " robot " << ev.robot
-      << " rule " << ev.rule_index << ' ' << color_letter(ev.color_before) << "->"
-      << color_letter(ev.color_after) << " move ";
+      << " rule " << ev.rule_index << " sym " << int(ev.sym.rot) << '/' << ev.sym.mirror << ' '
+      << color_letter(ev.color_before) << "->" << color_letter(ev.color_after) << " move ";
   if (ev.move.has_value()) {
     out << to_string(*ev.move);
   } else {
@@ -95,11 +98,12 @@ obs::Recording record_run(const obs::Recorder::Options& options,
   return obs::make_recording(recorder, prov, result);
 }
 
-ReplayCheck replay_recording(const obs::Recording& rec) {
-  ReplayCheck check;
-  check.replayed = record_run(rec.options, rec.prov);
-  check.divergences = diff_recordings(rec, check.replayed);
-  return check;
+obs::Recorder::Options capture_options(const std::string& scheduler, std::size_t capacity) {
+  return {.capacity = capacity, .detect_cycles = sched_from_name(scheduler) == SchedKind::Fsync};
+}
+
+std::vector<std::string> replay_recording(const obs::Recording& rec) {
+  return diff_recordings(rec, record_run(rec.options, rec.prov));
 }
 
 bool certify_cycle(const obs::Recording& rec, std::string& why) {
@@ -195,8 +199,7 @@ std::string rule_fire_counts(const obs::Recording& rec) {
   return out.str();
 }
 
-std::vector<std::string> diff_recordings(const obs::Recording& a, const obs::Recording& b,
-                                         int max_events) {
+std::vector<std::string> diff_recordings(const obs::Recording& a, const obs::Recording& b) {
   std::vector<std::string> out;
   const auto field = [&out](const std::string& name, const std::string& va,
                             const std::string& vb) {
@@ -233,7 +236,7 @@ std::vector<std::string> diff_recordings(const obs::Recording& a, const obs::Rec
   int reported = 0;
   for (std::size_t i = 0; i < std::min(a.events.size(), b.events.size()); ++i) {
     if (a.events[i] == b.events[i]) continue;
-    if (reported++ == max_events) {
+    if (reported++ == kMaxEventLines) {
       out.push_back("(further event divergences elided)");
       break;
     }
@@ -247,6 +250,9 @@ std::vector<std::string> diff_recordings(const obs::Recording& a, const obs::Rec
   field("stats.color_changes", to_string(a.color_changes), to_string(b.color_changes));
   field("failure", a.failure, b.failure);
   robots("final", a.final_robots, b.final_robots);
+  // A field no line above names (the format version, or one added later)
+  // still makes the recordings differ.
+  if (out.empty() && !(a == b)) out.push_back("recordings differ in a field not named here");
   return out;
 }
 

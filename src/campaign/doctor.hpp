@@ -32,21 +32,19 @@ namespace lumi::campaign {
 obs::Recording record_run(const obs::Recorder::Options& options,
                           const obs::Recorder::Provenance& prov);
 
-/// Replay result: the re-recording (same options and provenance as the
-/// original, so byte-identity with the original file is meaningful) and
-/// diff_recordings(original, re-recording).  An empty `divergences`
-/// certifies the recording: same final configuration, same stats, same
-/// events, same serialized bytes.
-struct ReplayCheck {
-  obs::Recording replayed;
-  std::vector<std::string> divergences;
+/// The options a fresh recording of a run under `scheduler` uses: `capacity`
+/// ring slots, and the cycle detector armed exactly under FSYNC.  A hash
+/// revisit only proves a loop when the scheduler is a pure function of the
+/// configuration: FSYNC's first-behavior adversary is; round-robin and the
+/// async engines carry private state.  Replay passes the file's own options
+/// to record_run instead, and certification one slot without the detector.
+obs::Recorder::Options capture_options(const std::string& scheduler, std::size_t capacity);
 
-  bool identical() const { return divergences.empty(); }
-};
-
-/// record_run(rec.options, rec.prov), compared field by field with `rec`.
-/// Throws what record_run throws when the recording cannot be replayed.
-ReplayCheck replay_recording(const obs::Recording& rec);
+/// diff_recordings(rec, record_run(rec.options, rec.prov)): the re-recording
+/// uses the original's options and provenance, so an empty list means the
+/// recording reproduces byte-for-byte.  Throws what record_run throws when
+/// the recording cannot be replayed.
+std::vector<std::string> replay_recording(const obs::Recording& rec);
 
 /// Certifies a cycle witness by re-recording the run twice, cut at instant
 /// `start` and at `start + length`, and checking the two final
@@ -70,9 +68,8 @@ std::string rule_fire_counts(const obs::Recording& rec);
 /// The one comparison of two recordings: one line per differing field,
 /// `FIELD: <a's value> vs <b's value>`, in file order — the options,
 /// provenance and initial robots, the diagnosis, cycle witness and
-/// events-seen, the first `max_events` differing events, then the outcome,
-/// stats, failure and final robots.  Empty when the recordings are equal.
-std::vector<std::string> diff_recordings(const obs::Recording& a, const obs::Recording& b,
-                                         int max_events = 10);
+/// events-seen, the first ten differing events, then the outcome, stats,
+/// failure and final robots.  Empty exactly when the recordings are equal.
+std::vector<std::string> diff_recordings(const obs::Recording& a, const obs::Recording& b);
 
 }  // namespace lumi::campaign
