@@ -4,8 +4,8 @@
 //
 //   $ ./algo_lint                       # all Table 1 entries; exit 0 iff zero findings
 //   $ ./algo_lint --json=lint.json      # same, plus a machine-readable report
-//   $ ./algo_lint --file=my_algo.lumi   # lint one DSL file (validation off, so
-//                                       # deliberately broken tables still load)
+//   $ ./algo_lint --file=my_algo.lumi   # lint one DSL file (broken tables load:
+//                                       # the analyzer reports what is wrong)
 //   $ ./algo_lint --self-test --fixtures=tests/fixtures/algo_lint
 //
 // The self-test walks a fixture directory of .lumi files whose `# expect:`
@@ -105,7 +105,7 @@ std::set<std::string> expected_classes(const std::string& text) {
   return {};
 }
 
-/// Walks DIR/*.lumi (sorted), analyzes each with validation off, and demands
+/// Walks DIR/*.lumi (sorted), analyzes each unvalidated, and demands
 /// the reported defect-class set equals the `# expect:` header exactly —
 /// both directions: a seeded defect must fire, and no foreign class may.
 /// Conflict/ambiguous-move findings must additionally carry a
@@ -138,7 +138,7 @@ int run_self_test(const std::string& dir) {
     analysis::AnalysisReport report;
     Algorithm alg;
     try {
-      alg = dsl::parse(*text, dsl::ParseOptions{.validate = false});
+      alg = dsl::parse(*text);
       report = analysis::analyze(alg);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "%s: FAIL (%s)\n", path.c_str(), e.what());
@@ -232,7 +232,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "cannot read %s\n", file_path.c_str());
         return 2;
       }
-      const Algorithm alg = dsl::parse(*text, dsl::ParseOptions{.validate = false});
+      const Algorithm alg = dsl::parse(*text);
       linted.push_back({alg.name, "", analysis::analyze(alg)});
     } else {
       for (const algorithms::TableEntry& e : algorithms::table1()) {

@@ -213,8 +213,9 @@ bool build_matrix(const Args& args, campaign::Matrix& matrix) {
   matrix.topologies = split_csv(args.topologies);
   for (const std::string& spec : matrix.topologies) {
     // Syntax-only check: a typo aborts loudly instead of silently expanding
-    // to nothing via skip_incompatible, while a well-formed spec that only
-    // fits some of the swept dimensions is judged per cell at expansion.
+    // to nothing (expansion skips what cannot be built), while a well-formed
+    // spec that only fits some of the swept dimensions is judged per cell at
+    // expansion.
     if (!lumi::topology_spec_parses(spec)) {
       std::fprintf(stderr, "bad topology '%s': expected %s\n", spec.c_str(),
                    lumi::topology_spec_grammar());

@@ -184,7 +184,7 @@ int record(int argc, char** argv) {
     }
     // Unvalidated on purpose: recording deliberately defective tables (the
     // livelock example in docs/OBSERVABILITY.md) is a primary use.
-    alg = dsl::parse(*text, {.validate = false, .strict = false});
+    alg = dsl::parse(*text);
   } else {
     alg = algorithms::entry(section).make();
   }

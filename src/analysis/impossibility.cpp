@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
-#include "src/core/matching.hpp"
-#include "src/engine/sync_engine.hpp"
+#include "src/analysis/model_checker.hpp"
 
 namespace lumi {
 
@@ -16,53 +15,42 @@ namespace {
 /// States one protected-node game may expand before it gives up.
 constexpr long kMaxGameStates = 2'000'000;
 
-/// Identity-preserving state: (pos, color) per robot.  Identities matter for
-/// the per-robot fairness bookkeeping, so no canonicalization here.
-struct GameState {
-  std::vector<Robot> robots;
-};
-
-/// Four bytes of node index and one of color per robot: the whole index, so
-/// distinct states never share a key on grids of more than 256 nodes.
-std::string encode(const Grid& grid, const GameState& s) {
-  std::string out;
-  out.reserve(s.robots.size() * 5);
-  for (const Robot& r : s.robots) {
-    const auto index = static_cast<std::uint32_t>(grid.index(r.pos));
-    for (int shift = 0; shift < 32; shift += 8) out.push_back(static_cast<char>(index >> shift));
-    out.push_back(static_cast<char>(r.color));
-  }
-  return out;
-}
-
 struct Edge {
   int to = -1;
-  std::uint32_t activated = 0;  ///< bitmask of robots acting on this edge
+  std::uint64_t activated = 0;  ///< bitmask of robots acting on this edge
 };
 
 struct Node {
-  GameState state;
+  /// Robot words in identity order (fairness is per robot, so robots are
+  /// not sorted): the node's key in Game::index_, whose keys never move.
+  const std::vector<RobotWord>* robots = nullptr;
   std::vector<Edge> edges;
-  std::uint32_t enabled_mask = 0;  ///< robots enabled in this configuration
-  bool terminal = false;
+  std::uint64_t enabled_mask = 0;  ///< robots enabled in this configuration
 };
 
 class Game {
  public:
   Game(const Algorithm& alg, const Grid& grid, Vec target)
-      : alg_(alg), compiled_(CompiledAlgorithm::get(alg)), grid_(grid), target_(target) {}
+      : n_(alg.initial_robots.size()), target_(target),
+        target_node_(grid.canonical_index(target)), successors_(alg, grid, CheckModel::Ssync) {
+    for (const auto& [pos, color] : alg.initial_robots) {
+      const int node = grid.canonical_index(pos);
+      if (node < 0) {
+        throw std::invalid_argument("check_protected_node: initial robot outside the grid");
+      }
+      init_.push_back(idle_robot(node, color));
+    }
+  }
 
   AdversaryResult solve() {
     AdversaryResult result;
     result.protected_node = target_;
 
-    GameState init;
-    for (const auto& [pos, color] : alg_.initial_robots) init.robots.push_back(Robot{pos, color});
-    if (occupies_target(init)) {
+    if (occupies_target(init_)) {
       result.summary = "initial configuration already occupies the target";
       return result;
     }
-    const int root = intern(init);
+    const int root = intern(init_);
     // BFS expansion of the restricted graph (successors that keep the
     // target node unoccupied).
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
@@ -71,13 +59,13 @@ class Game {
         result.states = static_cast<long>(nodes_.size());
         return result;
       }
-      expand(static_cast<int>(i));
+      expand(i);
     }
     result.states = static_cast<long>(nodes_.size());
 
     // (a) reachable terminal configuration?
     for (const Node& n : nodes_) {
-      if (n.terminal) {
+      if (n.enabled_mask == 0) {
         result.adversary_wins = true;
         result.via_terminal = true;
         result.summary = "terminal configuration reachable while avoiding the target";
@@ -96,86 +84,27 @@ class Game {
   }
 
  private:
-  bool occupies_target(const GameState& s) const {
-    for (const Robot& r : s.robots) {
-      if (r.pos == target_) return true;
-    }
-    return false;
+  bool occupies_target(std::span<const RobotWord> robots) const {
+    return std::any_of(robots.begin(), robots.end(),
+                       [&](RobotWord r) { return node_of(r) == target_node_; });
   }
 
-  int intern(const GameState& s) {
-    const std::string key = encode(grid_, s);
-    auto it = index_.find(key);
-    if (it != index_.end()) return it->second;
-    const int id = static_cast<int>(nodes_.size());
-    index_.emplace(key, id);
-    Node n;
-    n.state = s;
-    nodes_.push_back(std::move(n));
-    return id;
+  /// The id of the state `robots`, added when new.
+  int intern(std::span<const RobotWord> robots) {
+    const auto [it, inserted] = index_.try_emplace(
+        std::vector<RobotWord>(robots.begin(), robots.end()), static_cast<int>(nodes_.size()));
+    if (inserted) nodes_.push_back(Node{&it->first, {}, 0});
+    return it->second;
   }
 
-  void expand(int id) {
-    // note: nodes_ may reallocate while emitting; copy what we need first.
-    const GameState state = nodes_[static_cast<std::size_t>(id)].state;
-    Configuration config(grid_, state.robots);
-    std::vector<std::vector<Action>> actions(state.robots.size());
-    std::uint32_t enabled_mask = 0;
-    std::vector<int> enabled;
-    for (int r = 0; r < static_cast<int>(state.robots.size()); ++r) {
-      actions[static_cast<std::size_t>(r)] = enabled_actions(*compiled_, config, r);
-      if (!actions[static_cast<std::size_t>(r)].empty()) {
-        enabled_mask |= 1u << r;
-        enabled.push_back(r);
-      }
-    }
-    nodes_[static_cast<std::size_t>(id)].enabled_mask = enabled_mask;
-    if (enabled.empty()) {
-      nodes_[static_cast<std::size_t>(id)].terminal = true;
-      return;
-    }
-    // Every nonempty subset x every action-choice combination.
-    const std::size_t n = enabled.size();
+  void expand(std::size_t id) {
     std::vector<Edge> edges;
-    for (std::uint64_t mask = 1; mask < (1ULL << n); ++mask) {
-      std::vector<int> subset;
-      for (std::size_t b = 0; b < n; ++b) {
-        if (mask & (1ULL << b)) subset.push_back(enabled[b]);
-      }
-      std::vector<std::size_t> choice(subset.size(), 0);
-      while (true) {
-        GameState next = state;
-        std::uint32_t activated = 0;
-        bool legal = true;
-        for (std::size_t i = 0; i < subset.size() && legal; ++i) {
-          const int robot = subset[i];
-          const Action& a = actions[static_cast<std::size_t>(robot)][choice[i]];
-          Robot& r = next.robots[static_cast<std::size_t>(robot)];
-          r.color = a.new_color;
-          if (a.move.has_value()) {
-            const std::optional<Vec> to = grid_.step(r.pos, *a.move);
-            if (!to) {
-              legal = false;
-            } else {
-              r.pos = *to;
-            }
-          }
-          activated |= 1u << robot;
-        }
-        if (legal && !occupies_target(next)) {
-          edges.push_back(Edge{intern(next), activated});
-        }
-        std::size_t d = 0;
-        while (d < subset.size()) {
-          choice[d] += 1;
-          if (choice[d] < actions[static_cast<std::size_t>(subset[d])].size()) break;
-          choice[d] = 0;
-          d += 1;
-        }
-        if (d == subset.size()) break;
-      }
-    }
-    nodes_[static_cast<std::size_t>(id)].edges = std::move(edges);
+    const std::uint64_t enabled = successors_.expand(
+        *nodes_[id].robots, [&](std::span<const RobotWord> next, std::uint64_t acted) {
+          if (!occupies_target(next)) edges.push_back(Edge{intern(next), acted});
+        });
+    nodes_[id].enabled_mask = enabled;
+    nodes_[id].edges = std::move(edges);
   }
 
   /// Tarjan SCCs over the restricted graph; a component admits a fair cycle
@@ -239,11 +168,10 @@ class Game {
       }
     }
 
-    const std::uint32_t all_robots =
-        (1u << alg_.initial_robots.size()) - 1u;
+    const std::uint64_t all_robots = (1ULL << n_) - 1;
     for (const std::vector<int>& members : components) {
-      std::uint32_t activated = 0;
-      std::uint32_t disabled_somewhere = 0;
+      std::uint64_t activated = 0;
+      std::uint64_t disabled_somewhere = 0;
       bool has_internal_edge = false;
       for (int v : members) {
         disabled_somewhere |= ~nodes_[static_cast<std::size_t>(v)].enabled_mask & all_robots;
@@ -261,12 +189,13 @@ class Game {
     return false;
   }
 
-  const Algorithm& alg_;
-  std::shared_ptr<const CompiledAlgorithm> compiled_;
-  const Grid& grid_;
+  std::size_t n_;  ///< robots per state
   Vec target_;
+  int target_node_;  ///< -1 when the target is no node of the grid
+  Successors successors_;
+  std::vector<RobotWord> init_;
+  std::map<std::vector<RobotWord>, int> index_;  ///< node id by state
   std::vector<Node> nodes_;
-  std::unordered_map<std::string, int> index_;
 };
 
 }  // namespace

@@ -13,28 +13,23 @@ namespace {
 /// Robot phase in the ASYNC checker (sync models keep everything Idle).
 enum class McPhase : std::uint32_t { Idle = 0, Decided = 1, Colored = 2 };
 
-// A robot packs into one word:
-//   node index << 9 | color << 7 | phase << 5 | pending color << 3 | pending move + 1
-// (pending move -1 = none, else a Dir).  A state is its robots' words in path
-// order followed by ceil(nodes / 64) visited words; its key is the same words
-// with the robots sorted, so anonymous robots collapse symmetric states.
-using RobotCode = std::uint32_t;
-
+// A state is its robots' words in path order followed by ceil(nodes / 64)
+// visited words; its key is the same words with the robots sorted, so
+// anonymous robots collapse symmetric states.
 constexpr int kNodeShift = 9;
 constexpr std::size_t kWitnessTail = 40;  ///< keeps witnesses reviewable
 constexpr std::uint8_t kGray = 1;         ///< on the DFS stack
 constexpr std::uint8_t kBlack = 2;        ///< fully explored
 
-constexpr RobotCode pack(int node, Color color, McPhase phase, Color pending, int move) {
-  return static_cast<RobotCode>(node) << kNodeShift | static_cast<RobotCode>(color) << 7 |
-         static_cast<RobotCode>(phase) << 5 | static_cast<RobotCode>(pending) << 3 |
-         static_cast<RobotCode>(move + 1);
+constexpr RobotWord pack(int node, Color color, McPhase phase, Color pending, int move) {
+  return static_cast<RobotWord>(node) << kNodeShift | static_cast<RobotWord>(color) << 7 |
+         static_cast<RobotWord>(phase) << 5 | static_cast<RobotWord>(pending) << 3 |
+         static_cast<RobotWord>(move + 1);
 }
-constexpr int node_of(RobotCode r) { return static_cast<int>(r >> kNodeShift); }
-constexpr Color color_of(RobotCode r) { return static_cast<Color>((r >> 7) & 3); }
-constexpr McPhase phase_of(RobotCode r) { return static_cast<McPhase>((r >> 5) & 3); }
-constexpr Color pending_color_of(RobotCode r) { return static_cast<Color>((r >> 3) & 3); }
-constexpr int pending_move_of(RobotCode r) { return static_cast<int>(r & 7) - 1; }
+constexpr McPhase phase_of(RobotWord r) { return static_cast<McPhase>((r >> 5) & 3); }
+constexpr Color pending_color_of(RobotWord r) { return static_cast<Color>((r >> 3) & 3); }
+constexpr int pending_move_of(RobotWord r) { return static_cast<int>(r & 7) - 1; }
+static_assert(idle_robot(5, Color::B) == pack(5, Color::B, McPhase::Idle, Color::B, -1));
 
 /// Open-addressing set of state keys: linear probing over uint32 ids, the
 /// keys themselves back to back in one flat arena (id-major).
@@ -92,16 +87,12 @@ class StateTable {
 class Checker {
  public:
   Checker(const Algorithm& alg, const Grid& grid, CheckModel model, const CheckOptions& opts)
-      : compiled_(CompiledAlgorithm::get(alg)), grid_(grid), model_(model), opts_(opts),
-        n_(alg.initial_robots.size()),
+      : grid_(grid), opts_(opts), n_(alg.initial_robots.size()),
         words_((static_cast<std::size_t>(grid.num_nodes()) + 63) / 64),
         full_(words_, 0), table_(n_ + 2 * words_), cur_(n_), seen_(words_), key_(n_ + 2 * words_),
-        config_(grid, {}), placed_(n_), actions_(n_) {
+        successors_(alg, grid, model) {
     if (grid.rows() < alg.min_rows || grid.cols() < alg.min_cols) {
       throw std::invalid_argument("model_check: grid below the algorithm's minimum");
-    }
-    if (grid.num_nodes() >= (1 << (32 - kNodeShift))) {
-      throw std::invalid_argument("model_check: grid has more nodes than a robot word indexes");
     }
     // Coverage target: one bit per *reachable* node of the bounding box
     // (wall cells are never visited and never required; on a plain grid
@@ -114,7 +105,7 @@ class Checker {
     for (const auto& [pos, color] : alg.initial_robots) {
       const int node = grid.canonical_index(pos);
       if (node < 0) throw std::invalid_argument("model_check: initial robot outside the grid");
-      robots_.push_back(pack(node, color, McPhase::Idle, color, -1));
+      robots_.push_back(idle_robot(node, color));
       mark(0, node);
     }
   }
@@ -137,16 +128,9 @@ class Checker {
   };
 
   std::size_t num_slots() const { return visited_.size() / words_; }
-  RobotCode& robot(std::size_t slot, std::size_t i) { return robots_[slot * n_ + i]; }
+  RobotWord robot(std::size_t slot, std::size_t i) const { return robots_[slot * n_ + i]; }
   void mark(std::size_t slot, int node) {
     visited_[slot * words_ + static_cast<std::size_t>(node) / 64] |= 1ULL << (node % 64);
-  }
-  /// Appends a copy of the state being expanded; returns its slot.
-  std::size_t append_copy() {
-    const std::size_t slot = num_slots();
-    robots_.insert(robots_.end(), cur_.begin(), cur_.end());
-    visited_.insert(visited_.end(), seen_.begin(), seen_.end());
-    return slot;
   }
   void truncate(std::size_t slots) {
     robots_.resize(slots * n_);
@@ -233,20 +217,14 @@ class Checker {
     result_.witness.push_back(render(offending));
   }
 
-  /// What other robots see of robot `r`: its node and its current light.
-  Robot visible(RobotCode r) const { return Robot{grid_.node(node_of(r)), color_of(r)}; }
-
-  Configuration to_config(std::size_t slot) {
-    std::vector<Robot> robots;
-    robots.reserve(n_);
-    for (std::size_t i = 0; i < n_; ++i) robots.push_back(visible(robot(slot, i)));
-    return Configuration(grid_, std::move(robots));
-  }
-
-  std::string render(std::size_t slot) {
-    std::string out = to_config(slot).to_string();
+  std::string render(std::size_t slot) const {
+    std::vector<Robot> visible;
     for (std::size_t i = 0; i < n_; ++i) {
-      const RobotCode r = robot(slot, i);
+      visible.push_back(Robot{grid_.node(node_of(robot(slot, i))), color_of(robot(slot, i))});
+    }
+    std::string out = Configuration(grid_, std::move(visible)).to_string();
+    for (std::size_t i = 0; i < n_; ++i) {
+      const RobotWord r = robot(slot, i);
       if (phase_of(r) == McPhase::Idle) continue;
       const Vec pos = grid_.node(node_of(r));
       out += " [robot@(" + std::to_string(pos.row) + "," + std::to_string(pos.col) + ") " +
@@ -257,120 +235,22 @@ class Checker {
 
   /// Appends every successor of `slot` to the arena, in schedule order.
   void expand(std::size_t slot) {
+    // Copies first: the arena grows (and may move) while successors arrive.
     const auto robots = robots_.begin() + static_cast<std::ptrdiff_t>(slot * n_);
     std::copy(robots, robots + static_cast<std::ptrdiff_t>(n_), cur_.begin());
     const auto visited = visited_.begin() + static_cast<std::ptrdiff_t>(slot * words_);
     std::copy(visited, visited + static_cast<std::ptrdiff_t>(words_), seen_.begin());
-    for (std::size_t i = 0; i < n_; ++i) placed_[i] = visible(cur_[i]);
-    config_.place_robots(placed_);
-    if (model_ == CheckModel::Async) {
-      async_successors();
-    } else {
-      sync_successors();
-    }
+    // Each successor carries the parent's visited words plus the nodes of
+    // the robots that stepped.
+    successors_.expand(cur_, [this](std::span<const RobotWord> next, std::uint64_t acted) {
+      const std::size_t out = num_slots();
+      robots_.insert(robots_.end(), next.begin(), next.end());
+      visited_.insert(visited_.end(), seen_.begin(), seen_.end());
+      for (; acted != 0; acted &= acted - 1) mark(out, node_of(next[std::countr_zero(acted)]));
+    });
   }
 
-  /// Fills actions_[i] with robot i's enabled behaviors in `config_`.
-  void look(std::size_t i) {
-    take_snapshot_into(config_, static_cast<int>(i), compiled_->phi(), snap_);
-    enabled_actions_into(*compiled_, snap_, actions_[i]);
-  }
-
-  /// The node robot `r` reaches by moving `d`; throws when that leaves the grid.
-  int step(RobotCode r, Dir d) const {
-    const std::optional<Vec> to = grid_.step(grid_.node(node_of(r)), d);
-    if (!to) throw std::logic_error("robot would leave the grid");
-    return grid_.index(*to);
-  }
-
-  // --- FSYNC / SSYNC -------------------------------------------------------
-  void sync_successors() {
-    enabled_.clear();
-    for (std::size_t i = 0; i < n_; ++i) {
-      look(i);
-      if (!actions_[i].empty()) enabled_.push_back(i);
-    }
-    if (enabled_.empty()) return;
-
-    if (model_ == CheckModel::Fsync) {
-      emit_selections(enabled_);  // the full set, all choice products
-    } else {
-      // SSYNC: every nonempty subset of the enabled robots.
-      const std::size_t n = enabled_.size();
-      for (std::uint64_t mask = 1; mask < (1ULL << n); ++mask) {
-        subset_.clear();
-        for (std::size_t b = 0; b < n; ++b) {
-          if (mask & (1ULL << b)) subset_.push_back(enabled_[b]);
-        }
-        emit_selections(subset_);
-      }
-    }
-  }
-
-  /// Emits one successor per combination of action choices for `subset`.
-  void emit_selections(const std::vector<std::size_t>& subset) {
-    choice_.assign(subset.size(), 0);
-    while (true) {
-      const std::size_t out = append_copy();
-      // Simultaneous application: all moves relative to the current state.
-      for (std::size_t k = 0; k < subset.size(); ++k) {
-        const std::size_t i = subset[k];
-        const Action& a = actions_[i][choice_[k]];
-        int node = node_of(cur_[i]);
-        if (a.move.has_value()) {
-          node = step(cur_[i], *a.move);
-          mark(out, node);
-        }
-        robot(out, i) = pack(node, a.new_color, McPhase::Idle, a.new_color, -1);
-      }
-      // Next choice vector (mixed-radix increment).
-      std::size_t d = 0;
-      while (d < subset.size()) {
-        choice_[d] += 1;
-        if (choice_[d] < actions_[subset[d]].size()) break;
-        choice_[d] = 0;
-        d += 1;
-      }
-      if (d == subset.size()) break;
-    }
-  }
-
-  // --- ASYNC ---------------------------------------------------------------
-  void async_successors() {
-    for (std::size_t i = 0; i < n_; ++i) {
-      const RobotCode r = cur_[i];
-      const int node = node_of(r);
-      switch (phase_of(r)) {
-        case McPhase::Idle: {
-          // Look: one successor per distinct enabled behavior (stale-view
-          // decisions are modeled by the delay before the later phases).
-          look(i);
-          for (const Action& a : actions_[i]) {
-            const int move = a.move.has_value() ? static_cast<int>(*a.move) : -1;
-            robot(append_copy(), i) = pack(node, color_of(r), McPhase::Decided, a.new_color, move);
-          }
-          break;
-        }
-        case McPhase::Decided: {  // Compute-end: color becomes visible.
-          const Color c = pending_color_of(r);
-          robot(append_copy(), i) = pack(node, c, McPhase::Colored, c, pending_move_of(r));
-          break;
-        }
-        case McPhase::Colored: {  // Move.
-          const int move = pending_move_of(r);
-          const int to = move >= 0 ? step(r, static_cast<Dir>(move)) : node;
-          const std::size_t out = append_copy();
-          robot(out, i) = pack(to, color_of(r), McPhase::Idle, color_of(r), -1);
-          mark(out, to);
-          break;
-        }
-      }
-    }
-  }
-
-  std::shared_ptr<const CompiledAlgorithm> compiled_;
   const Grid& grid_;
-  CheckModel model_;
   CheckOptions opts_;
   std::size_t n_;      ///< robots per state
   std::size_t words_;  ///< visited words per state
@@ -381,22 +261,141 @@ class Checker {
   std::vector<Frame> frames_;
   // State arena: the DFS path's successor ranges, n_ robot words and
   // words_ visited words per slot.
-  std::vector<RobotCode> robots_;
+  std::vector<RobotWord> robots_;
   std::vector<std::uint64_t> visited_;
   // Scratch reused by every expansion.
-  std::vector<RobotCode> cur_;
+  std::vector<RobotWord> cur_;
   std::vector<std::uint64_t> seen_;
   std::vector<std::uint32_t> key_;
-  Configuration config_;
-  std::vector<Robot> placed_;
-  Snapshot snap_;
-  std::vector<std::vector<Action>> actions_;  ///< by robot
-  std::vector<std::size_t> enabled_;
-  std::vector<std::size_t> subset_;
-  std::vector<std::size_t> choice_;
+  Successors successors_;
 };
 
 }  // namespace
+
+Successors::Successors(const Algorithm& alg, const Grid& grid, CheckModel model)
+    : compiled_(CompiledAlgorithm::get(alg)), grid_(grid), model_(model), config_(grid, {}),
+      placed_(alg.initial_robots.size()), actions_(alg.initial_robots.size()) {
+  if (grid.num_nodes() >= (1 << (32 - kNodeShift))) {
+    throw std::invalid_argument("grid has more nodes than a robot word indexes");
+  }
+  if (alg.initial_robots.size() >= 64) {  // SSYNC counts subsets up to 1 << robots
+    throw std::invalid_argument("64 robots or more");
+  }
+}
+
+std::uint64_t Successors::expand(std::span<const RobotWord> robots, const Emit& emit) {
+  if (robots.size() != placed_.size()) {
+    throw std::invalid_argument("Successors::expand: wrong number of robots");
+  }
+  next_.assign(robots.begin(), robots.end());
+  for (std::size_t i = 0; i < robots.size(); ++i) {
+    placed_[i] = Robot{grid_.node(node_of(robots[i])), color_of(robots[i])};
+  }
+  config_.place_robots(placed_);
+  return model_ == CheckModel::Async ? async_successors(robots, emit)
+                                     : sync_successors(robots, emit);
+}
+
+/// Fills actions_[i] with robot i's enabled behaviors in `config_`.
+void Successors::look(std::size_t i) {
+  take_snapshot_into(config_, static_cast<int>(i), compiled_->phi(), snap_);
+  enabled_actions_into(*compiled_, snap_, actions_[i]);
+}
+
+/// The node robot `r` reaches by moving `d`; throws when that leaves the grid.
+int Successors::step(RobotWord r, Dir d) const {
+  const std::optional<Vec> to = grid_.step(grid_.node(node_of(r)), d);
+  if (!to) throw std::logic_error("robot would leave the grid");
+  return grid_.index(*to);
+}
+
+// --- FSYNC / SSYNC -----------------------------------------------------------
+std::uint64_t Successors::sync_successors(std::span<const RobotWord> robots, const Emit& emit) {
+  enabled_.clear();
+  std::uint64_t can_step = 0;
+  for (std::size_t i = 0; i < robots.size(); ++i) {
+    look(i);
+    if (actions_[i].empty()) continue;
+    enabled_.push_back(i);
+    can_step |= 1ULL << i;
+  }
+  // FSYNC activates every enabled robot, SSYNC every nonempty subset of them
+  // (bit b of `mask` selects enabled_[b]).
+  const std::uint64_t all = (1ULL << enabled_.size()) - 1;
+  for (std::uint64_t mask = model_ == CheckModel::Fsync ? all : 1; mask != 0 && mask <= all;
+       ++mask) {
+    subset_.clear();
+    std::uint64_t acted = 0;
+    for (std::size_t b = 0; b < enabled_.size(); ++b) {
+      if ((mask & (1ULL << b)) == 0) continue;
+      subset_.push_back(enabled_[b]);
+      acted |= 1ULL << enabled_[b];
+    }
+    // One successor per combination of the subset's behaviors.
+    choice_.assign(subset_.size(), 0);
+    while (true) {
+      // Simultaneous application: all moves relative to the current state.
+      for (std::size_t k = 0; k < subset_.size(); ++k) {
+        const std::size_t i = subset_[k];
+        const Action& a = actions_[i][choice_[k]];
+        const int node = a.move.has_value() ? step(robots[i], *a.move) : node_of(robots[i]);
+        next_[i] = idle_robot(node, a.new_color);
+      }
+      emit(next_, acted);
+      // Next choice vector (mixed-radix increment).
+      std::size_t d = 0;
+      while (d < subset_.size()) {
+        choice_[d] += 1;
+        if (choice_[d] < actions_[subset_[d]].size()) break;
+        choice_[d] = 0;
+        d += 1;
+      }
+      if (d == subset_.size()) break;
+    }
+    for (const std::size_t i : subset_) next_[i] = robots[i];
+  }
+  return can_step;
+}
+
+// --- ASYNC -------------------------------------------------------------------
+std::uint64_t Successors::async_successors(std::span<const RobotWord> robots, const Emit& emit) {
+  std::uint64_t can_step = 0;
+  for (std::size_t i = 0; i < robots.size(); ++i) {
+    const RobotWord r = robots[i];
+    const int node = node_of(r);
+    const std::uint64_t bit = 1ULL << i;
+    switch (phase_of(r)) {
+      case McPhase::Idle: {
+        // Look: one successor per distinct enabled behavior (stale-view
+        // decisions are modeled by the delay before the later phases).
+        look(i);
+        if (actions_[i].empty()) continue;  // disabled: no step
+        for (const Action& a : actions_[i]) {
+          const int move = a.move.has_value() ? static_cast<int>(*a.move) : -1;
+          next_[i] = pack(node, color_of(r), McPhase::Decided, a.new_color, move);
+          emit(next_, bit);
+        }
+        break;
+      }
+      case McPhase::Decided: {  // Compute-end: color becomes visible.
+        const Color c = pending_color_of(r);
+        next_[i] = pack(node, c, McPhase::Colored, c, pending_move_of(r));
+        emit(next_, bit);
+        break;
+      }
+      case McPhase::Colored: {  // Move.
+        const int move = pending_move_of(r);
+        const int to = move >= 0 ? step(r, static_cast<Dir>(move)) : node;
+        next_[i] = idle_robot(to, color_of(r));
+        emit(next_, bit);
+        break;
+      }
+    }
+    next_[i] = r;
+    can_step |= bit;
+  }
+  return can_step;
+}
 
 CheckResult model_check(const Algorithm& alg, const Grid& grid, CheckModel model,
                         const CheckOptions& opts) {

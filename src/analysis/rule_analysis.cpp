@@ -204,12 +204,6 @@ int AnalysisReport::errors() const {
   return n;
 }
 
-int AnalysisReport::warnings() const {
-  int n = 0;
-  for (const Finding& f : findings) n += f.severity == Severity::Warning ? 1 : 0;
-  return n;
-}
-
 std::string AnalysisReport::to_string() const {
   std::string out;
   for (const Finding& f : findings) {

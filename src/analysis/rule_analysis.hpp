@@ -94,7 +94,6 @@ struct AnalysisReport {
   std::vector<Finding> findings;
 
   int errors() const;
-  int warnings() const;
   /// No findings at all — the bar the registry algorithms are pinned at.
   bool clean() const { return findings.empty(); }
   /// No error-severity findings (warnings tolerated).

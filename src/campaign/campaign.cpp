@@ -120,11 +120,7 @@ Expansion expand(const Matrix& matrix) {
     analysis::require_well_formed(alg);
     for (int r : rows) {
       for (int c : cols) {
-        if (r < alg.min_rows || c < alg.min_cols) {
-          if (matrix.skip_incompatible) continue;
-          throw std::invalid_argument("expand: grid " + std::to_string(r) + "x" +
-                                      std::to_string(c) + " below minimum of " + section);
-        }
+        if (r < alg.min_rows || c < alg.min_cols) continue;
         for (const std::string& spec : matrix.topologies) {
           // Build once at expansion: canonicalizes the spec (e.g. "holes" ->
           // "holes:2x2@3x3" at these dimensions), rejects families that
@@ -139,23 +135,12 @@ Expansion expand(const Matrix& matrix) {
               (void)color;
               placement_ok = placement_ok && topo.contains(pos);
             }
-          } catch (const std::exception& err) {
-            if (matrix.skip_incompatible) continue;
-            throw std::invalid_argument("expand: topology '" + spec + "' at " +
-                                        std::to_string(r) + "x" + std::to_string(c) + ": " +
-                                        err.what());
+          } catch (const std::exception&) {
+            continue;
           }
-          if (!placement_ok) {
-            if (matrix.skip_incompatible) continue;
-            throw std::invalid_argument("expand: topology '" + spec +
-                                        "' walls the initial placement of " + section);
-          }
+          if (!placement_ok) continue;
           for (SchedKind kind : matrix.schedulers) {
-            if (!compatible(alg.model, kind)) {
-              if (matrix.skip_incompatible) continue;
-              throw std::invalid_argument("expand: scheduler " + to_string(kind) +
-                                          " incompatible with " + section);
-            }
+            if (!compatible(alg.model, kind)) continue;
             const std::size_t cell = out.cells.size();
             out.cells.push_back({section, r, c, kind, canonical});
             if (sched_is_deterministic(kind)) {

@@ -82,11 +82,6 @@ struct Matrix {
   /// exactly one job per cell.
   std::vector<unsigned> seeds = {1};
   RunOptions options;
-  /// Skip (rather than fail) combinations the model forbids: grids below the
-  /// algorithm's minimum, topologies that cannot be built at the cell's
-  /// dimensions (or whose walls displace the initial placement), and
-  /// schedulers more asynchronous than the algorithm's model.
-  bool skip_incompatible = true;
 };
 
 /// One scenario cell: a point of the matrix whose runs are aggregated
@@ -116,10 +111,13 @@ struct Expansion {
 };
 
 /// Expands the matrix in deterministic order (section-major, then rows, cols,
-/// scheduler, seed).  Throws std::out_of_range on unknown sections and
-/// std::invalid_argument (carrying the analyzer's findings) when a section's
-/// rule table fails the semantic analyzer — ill-formed algorithms are
-/// rejected before a single job runs.
+/// scheduler, seed), skipping the combinations the model forbids: grids below
+/// the algorithm's minimum, topologies that cannot be built at the cell's
+/// dimensions (or whose walls displace the initial placement), and
+/// schedulers more asynchronous than the algorithm's model.  Throws
+/// std::out_of_range on unknown sections and std::invalid_argument (carrying
+/// the analyzer's findings) when a section's rule table fails the semantic
+/// analyzer — ill-formed algorithms are rejected before a single job runs.
 Expansion expand(const Matrix& matrix);
 
 /// Runs the plan under a freshly constructed scheduler of kind `kind`

@@ -15,11 +15,11 @@ namespace {
 /// diff_recordings names at most this many differing events.
 constexpr int kMaxEventLines = 10;
 
-/// Rebuilds the algorithm a recording embeds.  Unvalidated, non-strict: the
-/// doctor's whole purpose includes replaying *defective* tables (a livelock
-/// recording embeds a table no registry gate would admit).
+/// Rebuilds the algorithm a recording embeds.  Unvalidated: the doctor's
+/// whole purpose includes replaying *defective* tables (a livelock recording
+/// embeds a table no registry gate would admit).
 Algorithm algorithm_of(const obs::Recorder::Provenance& prov) {
-  return dsl::parse(prov.algorithm_text, {.validate = false, .strict = false});
+  return dsl::parse(prov.algorithm_text);
 }
 
 std::string robot_to_string(const Robot& r) {

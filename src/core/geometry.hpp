@@ -51,8 +51,6 @@ constexpr Vec dir_vec(Dir d) {
   return {0, 0};
 }
 
-constexpr Dir opposite(Dir d) { return static_cast<Dir>((static_cast<int>(d) + 2) % 4); }
-
 std::string to_string(Dir d);
 
 /// Element of the dihedral group D4 acting on offsets.

@@ -25,23 +25,11 @@ namespace lumi::dsl {
 
 std::string serialize(const Algorithm& alg);
 
-struct ParseOptions {
-  /// Run Algorithm::validate() on the result (shallow structural checks).
-  /// Off is what lets deliberately defective rule tables — the analyzer's
-  /// lint fixtures — be loaded and handed to analysis::analyze at all.
-  bool validate = true;
-  /// Additionally require the parsed table to pass the semantic rule-table
-  /// analyzer (analysis::require_well_formed): no determinism conflicts,
-  /// ambiguous moves, dead rules, color-flow errors or wall hazards.
-  bool strict = false;
-};
-
 /// Parses the format above; throws std::invalid_argument naming the line and
 /// quoting the offending token on malformed input.  Lines may end in CRLF or
-/// trailing whitespace.  Checks applied to the result follow `opts`.
-Algorithm parse(const std::string& text, const ParseOptions& opts);
-
-/// parse(text, ParseOptions{}) — validated, non-strict.
+/// trailing whitespace.  The table itself is not checked, so deliberately
+/// defective ones (the analyzer's lint fixtures, recorded livelocks) load;
+/// callers run Algorithm::validate() or analysis::require_well_formed.
 Algorithm parse(const std::string& text);
 
 }  // namespace lumi::dsl

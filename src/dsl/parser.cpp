@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "src/analysis/rule_analysis.hpp"
 #include "src/core/text.hpp"
 #include "src/dsl/dsl.hpp"
 
@@ -135,7 +134,7 @@ void parse_rule(const std::vector<std::string>& tokens, int line, Algorithm& alg
 
 }  // namespace
 
-Algorithm parse(const std::string& text, const ParseOptions& opts) {
+Algorithm parse(const std::string& text) {
   Algorithm alg;
   alg.min_rows = 2;
   alg.min_cols = 3;
@@ -204,11 +203,7 @@ Algorithm parse(const std::string& text, const ParseOptions& opts) {
     }
   }
   if (!got_name) throw std::invalid_argument("dsl parse error: missing 'algorithm <name>'");
-  if (opts.validate) alg.validate();
-  if (opts.strict) analysis::require_well_formed(alg);
   return alg;
 }
-
-Algorithm parse(const std::string& text) { return parse(text, ParseOptions{}); }
 
 }  // namespace lumi::dsl

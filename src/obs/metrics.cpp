@@ -28,17 +28,6 @@ void Gauge::set(long long v) noexcept {
   v_.store(v, std::memory_order_relaxed);
 }
 
-void Gauge::record_max(long long v) noexcept {
-  // lumi-lint: allow(relaxed-atomic) — telemetry value, no ordering consumers
-  if (!enabled_->load(std::memory_order_relaxed)) return;
-  // lumi-lint: allow(relaxed-atomic) — monotonic CAS raise of a telemetry cell
-  long long cur = v_.load(std::memory_order_relaxed);
-  while (cur < v &&
-         // lumi-lint: allow(relaxed-atomic) — same proof
-         !v_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
 long long Gauge::value() const noexcept {
   // lumi-lint: allow(relaxed-atomic) — snapshot read
   return v_.load(std::memory_order_relaxed);
@@ -89,13 +78,6 @@ long long Histogram::sum() const noexcept {
 
 long long MetricsSnapshot::counter_or(const std::string& name, long long fallback) const {
   for (const MetricValue& m : counters) {
-    if (m.name == name) return m.value;
-  }
-  return fallback;
-}
-
-long long MetricsSnapshot::gauge_or(const std::string& name, long long fallback) const {
-  for (const MetricValue& m : gauges) {
     if (m.name == name) return m.value;
   }
   return fallback;

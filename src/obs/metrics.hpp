@@ -45,8 +45,6 @@ class Counter {
 class Gauge {
  public:
   void set(long long v) noexcept;
-  /// Raises the gauge to `v` if larger (CAS loop; monotonic high-water).
-  void record_max(long long v) noexcept;
   long long value() const noexcept;
 
  private:
@@ -102,7 +100,6 @@ struct MetricsSnapshot {
 
   /// Value of a named counter/gauge, 0 when absent (meter convenience).
   long long counter_or(const std::string& name, long long fallback = 0) const;
-  long long gauge_or(const std::string& name, long long fallback = 0) const;
   /// Sum of every counter whose name starts with `prefix` and ends with
   /// `suffix` (e.g. a family of per-index counters).
   long long counter_prefix_sum(const std::string& prefix, const std::string& suffix) const;

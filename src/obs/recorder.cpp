@@ -300,8 +300,14 @@ Recording parse_recording(LineReader& in) {
   }
   rec.initial = parse_robots(in, "init");
   rec.diagnosis = diagnosis_from_name(std::string(in.field("diagnosis")));
+  // The recorder keeps a witness only with its detector armed, and diagnose
+  // says `cycle` exactly when a witness exists.
   if (in.next_is("cycle")) {
     const auto f = in.fields("cycle", 3);
+    if (!rec.options.detect_cycles) throw std::runtime_error("cycle witness with detect-cycles 0");
+    if (rec.diagnosis != Diagnosis::Cycle) {
+      throw std::runtime_error("cycle witness under diagnosis " + to_string(rec.diagnosis));
+    }
     Recorder::CycleWitness w;
     w.start = in.number<long>(f[0]);
     w.length = in.number<long>(f[1]);
@@ -309,12 +315,24 @@ Recording parse_recording(LineReader& in) {
       throw std::runtime_error("'" + std::string(f[2]) + "' is not 16 hex digits");
     }
     rec.cycle = w;
+  } else if (rec.diagnosis == Diagnosis::Cycle) {
+    throw std::runtime_error("diagnosis cycle without a cycle witness");
   }
   rec.events_seen = count_of(in, "events-seen");
+  // The ring keeps at most `capacity` of the events it saw.
+  const long long kept = count_of(in, "events");
+  if (static_cast<unsigned long long>(kept) > rec.options.capacity) {
+    throw std::runtime_error(std::to_string(kept) + " kept events exceed capacity " +
+                             std::to_string(rec.options.capacity));
+  }
+  if (kept > rec.events_seen) {
+    throw std::runtime_error(std::to_string(kept) + " kept events exceed events-seen " +
+                             std::to_string(rec.events_seen));
+  }
   // Events come as the engines emit them: instants never decrease and stay
   // inside the step budget.
   long first = 0;
-  for (long long i = 0, n = count_of(in, "events"); i < n; ++i) {
+  for (long long i = 0; i < kept; ++i) {
     const auto f = in.fields("ev", 9);
     RecordedEvent ev;
     ev.instant = in.number<long>(f[0], first);

@@ -147,7 +147,7 @@ Topology Topology::obstacles(int rows, int cols, int percent, unsigned seed) {
     fisher_yates(cells, rng);
     std::vector<std::uint8_t> wall(size, 0);
     for (int i = 0; i < target; ++i) wall[static_cast<std::size_t>(cells[static_cast<std::size_t>(i)])] = 1;
-    if (!mask_connected(rows, cols, wall, false, false)) continue;
+    if (!mask_connected(rows, cols, wall)) continue;
     Topology out(Family::Obstacles, rows, cols, false, false, std::move(wall));
     out.spec_ = "obstacles:" + std::to_string(percent) + ":" + std::to_string(seed);
     return out;
@@ -157,8 +157,7 @@ Topology Topology::obstacles(int rows, int cols, int percent, unsigned seed) {
                            "% (seed " + std::to_string(seed) + ")");
 }
 
-bool mask_connected(int rows, int cols, const std::vector<std::uint8_t>& wall, bool wrap_rows,
-                    bool wrap_cols) {
+bool mask_connected(int rows, int cols, const std::vector<std::uint8_t>& wall) {
   const int n = rows * cols;
   if (static_cast<int>(wall.size()) != n) return false;
   int start = -1;
@@ -181,17 +180,8 @@ bool mask_connected(int rows, int cols, const std::vector<std::uint8_t>& wall, b
     const int c = idx % cols;
     for (Dir d : kAllDirs) {
       const Vec v = Vec{r, c} + dir_vec(d);
-      int nr = v.row;
-      int nc = v.col;
-      if (nr < 0 || nr >= rows) {
-        if (!wrap_rows) continue;
-        nr = (nr % rows + rows) % rows;
-      }
-      if (nc < 0 || nc >= cols) {
-        if (!wrap_cols) continue;
-        nc = (nc % cols + cols) % cols;
-      }
-      const int ni = nr * cols + nc;
+      if (v.row < 0 || v.row >= rows || v.col < 0 || v.col >= cols) continue;
+      const int ni = v.row * cols + v.col;
       if (wall[static_cast<std::size_t>(ni)] || seen[static_cast<std::size_t>(ni)]) continue;
       seen[static_cast<std::size_t>(ni)] = 1;
       stack.push_back(ni);
@@ -290,15 +280,6 @@ Topology make_topology(const std::string& spec, int rows, int cols) {
 bool topology_spec_parses(const std::string& spec) {
   try {
     parse_spec(spec);
-    return true;
-  } catch (const std::exception&) {
-    return false;
-  }
-}
-
-bool topology_spec_ok(const std::string& spec, int rows, int cols) {
-  try {
-    make_topology(spec, rows, cols);
     return true;
   } catch (const std::exception&) {
     return false;

@@ -80,21 +80,6 @@ class Topology {
   int index(Vec v) const { return v.row * cols_ + v.col; }
   Vec node(int index) const { return {index / cols_, index % cols_}; }
 
-  /// Degree-based classification used in Theorem 1's proof (wrapped axes
-  /// have no border, so e.g. a torus has no end nodes).
-  bool is_end_node(Vec v) const {
-    int degree = 0;
-    for (Dir d : kAllDirs) degree += step(v, d).has_value() ? 1 : 0;
-    return degree < 4;
-  }
-  /// Inner node: at least 3 away from every border of a non-wrapped axis
-  /// (bounding-box criterion; interior walls are not considered).
-  bool is_inner_node(Vec v) const {
-    const bool row_ok = wrap_rows_ || (v.row >= 3 && v.row < rows_ - 3);
-    const bool col_ok = wrap_cols_ || (v.col >= 3 && v.col < cols_ - 3);
-    return row_ok && col_ok;
-  }
-
   friend bool operator==(const Topology&, const Topology&) = default;
 
   /// "4x6" for a plain grid (seed spelling, pinned by error-message tests);
@@ -117,7 +102,6 @@ class Topology {
   const std::string& spec() const { return spec_; }
   bool wrap_rows() const { return wrap_rows_; }
   bool wrap_cols() const { return wrap_cols_; }
-  bool has_walls() const { return !wall_.empty(); }
   /// Number of real (non-wall) nodes — the coverage target for exploration.
   int reachable_nodes() const { return reachable_; }
 
@@ -187,11 +171,10 @@ class Topology {
 std::string to_string(Topology::Family family);
 
 /// True when every free node of `wall` (a rows x cols mask, 1 = wall) is
-/// reachable from every other along 4-neighbor edges (wrapping per the
-/// flags), and at least one free node exists.  The validator the obstacle
-/// generator runs on every candidate mask before accepting it.
-bool mask_connected(int rows, int cols, const std::vector<std::uint8_t>& wall, bool wrap_rows,
-                    bool wrap_cols);
+/// reachable from every other along 4-neighbor edges inside the box, and at
+/// least one free node exists.  The validator the obstacle generator runs on
+/// every candidate mask before accepting it.
+bool mask_connected(int rows, int cols, const std::vector<std::uint8_t>& wall);
 
 /// Parses a topology spec — "grid", "ring", "torus", "holes",
 /// "holes:HxW[@RxC]", "obstacles:P:S" — against the given bounding box.
@@ -203,9 +186,6 @@ Topology make_topology(const std::string& spec, int rows, int cols);
 /// CLI's typo check: a well-formed spec that doesn't fit some cell is a
 /// skip at expansion, not an input error).
 bool topology_spec_parses(const std::string& spec);
-
-/// True when `spec` parses and builds at the given dimensions.
-bool topology_spec_ok(const std::string& spec, int rows, int cols);
 
 /// The spellings accepted by make_topology, for CLI help text.
 const char* topology_spec_grammar();

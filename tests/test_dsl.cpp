@@ -5,6 +5,7 @@
 #include "src/algorithms/algorithms.hpp"
 #include "src/algorithms/registry.hpp"
 #include "src/analysis/model_checker.hpp"
+#include "src/analysis/rule_analysis.hpp"
 #include "src/core/view.hpp"
 
 namespace lumi {
@@ -157,35 +158,34 @@ TEST(Dsl, MalformedIntegersQuoteTheToken) {
 }
 
 TEST(Dsl, ValidateOffLoadsDefectiveTables) {
-  // A movement into an unpinned cell fails Algorithm::validate(); with
-  // validation off the table still loads — that is what lets the analyzer's
-  // defect fixtures be analyzed at all.
+  // A movement into an unpinned cell fails Algorithm::validate(), but parse
+  // checks nothing, so the table still loads — that is what lets the
+  // analyzer's defect fixtures be analyzed at all.
   const std::string text = "algorithm broken\nphi 1\ncolors 1\ninit (0,0)=G\n"
                            "rule R1 self=G -> G,N\n";
-  EXPECT_THROW(dsl::parse(text), std::invalid_argument);
-  const Algorithm alg = dsl::parse(text, dsl::ParseOptions{.validate = false});
+  const Algorithm alg = dsl::parse(text);
   EXPECT_EQ(alg.rules.size(), 1u);
+  EXPECT_THROW(alg.validate(), std::invalid_argument);
 }
 
 TEST(Dsl, StrictModeRunsTheAnalyzer) {
   // Well-formed under validate(), but semantically conflicting: two rules
-  // enabled on the same view with different actions.  Plain parse accepts;
-  // strict parse rejects with the analyzer's findings.
+  // enabled on the same view with different actions.  Parse and validate()
+  // accept; the analyzer rejects with its findings.
   const std::string conflicting =
       "algorithm strict-conflict\nphi 1\ncolors 1\nmin-grid 3 3\ninit (1,0)=G\n"
       "rule R1 self=G N=empty E=empty S=empty W=wall -> G,N\n"
       "rule R2 self=G N=empty E=empty -> G,E\n";
-  EXPECT_NO_THROW(dsl::parse(conflicting));
+  EXPECT_NO_THROW(dsl::parse(conflicting).validate());
   try {
-    dsl::parse(conflicting, dsl::ParseOptions{.strict = true});
-    FAIL() << "expected strict parse to reject the conflicting table";
+    analysis::require_well_formed(dsl::parse(conflicting));
+    FAIL() << "expected the analyzer to reject the conflicting table";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("conflict"), std::string::npos) << e.what();
   }
-  // Every registry algorithm survives strict parsing of its own serialization.
+  // Every registry algorithm survives the analyzer on its own serialization.
   for (const algorithms::TableEntry& e : algorithms::table1()) {
-    EXPECT_NO_THROW(
-        dsl::parse(dsl::serialize(e.make()), dsl::ParseOptions{.strict = true}))
+    EXPECT_NO_THROW(analysis::require_well_formed(dsl::parse(dsl::serialize(e.make()))))
         << e.section;
   }
 }

@@ -14,13 +14,6 @@ TEST(Geometry, DirVectors) {
   EXPECT_EQ(dir_vec(Dir::West), (Vec{0, -1}));
 }
 
-TEST(Geometry, Opposite) {
-  EXPECT_EQ(opposite(Dir::North), Dir::South);
-  EXPECT_EQ(opposite(Dir::East), Dir::West);
-  EXPECT_EQ(opposite(Dir::South), Dir::North);
-  EXPECT_EQ(opposite(Dir::West), Dir::East);
-}
-
 TEST(Geometry, Manhattan) {
   EXPECT_EQ(manhattan({0, 0}, {0, 0}), 0);
   EXPECT_EQ(manhattan({0, 0}, {2, 3}), 5);

@@ -41,24 +41,6 @@ TEST(Grid, IndexRoundTrip) {
   }
 }
 
-TEST(Grid, EndAndInnerNodes) {
-  const Grid g(9, 9);
-  EXPECT_TRUE(g.is_end_node({0, 4}));    // border => degree 3
-  EXPECT_TRUE(g.is_end_node({0, 0}));    // corner => degree 2
-  EXPECT_FALSE(g.is_end_node({4, 4}));
-  // Inner nodes are at distance >= 3 from every end node.
-  EXPECT_TRUE(g.is_inner_node({4, 4}));
-  EXPECT_TRUE(g.is_inner_node({3, 3}));
-  EXPECT_TRUE(g.is_inner_node({5, 5}));
-  EXPECT_FALSE(g.is_inner_node({2, 4}));
-  EXPECT_FALSE(g.is_inner_node({4, 6}));
-  // A 9x9 grid has exactly 3x3 = 9 inner nodes, matching the proof of
-  // Theorem 1 ("the number of inner nodes in G is at least nine").
-  int inner = 0;
-  for (int i = 0; i < g.num_nodes(); ++i) inner += g.is_inner_node(g.node(i)) ? 1 : 0;
-  EXPECT_EQ(inner, 9);
-}
-
 TEST(Configuration, CellAndMultiset) {
   const Grid g(2, 3);
   Configuration c = make_configuration(g, {{{0, 0}, {Color::G}}, {{0, 1}, {Color::W, Color::B}}});

@@ -64,19 +64,6 @@ TEST(Metrics, ConcurrentHistogramCountsSumExactly) {
   EXPECT_EQ(counts[2], 0);  // nothing past the last bound
 }
 
-TEST(Metrics, ConcurrentRecordMaxConverges) {
-  EnabledRegistry reg;
-  Gauge& g = reg->gauge("test.max");
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 6; ++t) {
-    workers.emplace_back([&g, t] {
-      for (int i = 0; i < 5'000; ++i) g.record_max(t * 10'000 + i);
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  EXPECT_EQ(g.value(), 5 * 10'000 + 4'999);
-}
-
 // --- disabled registry is observably inert -----------------------------------
 
 TEST(Metrics, DisabledRegistryRecordsNothing) {
@@ -88,7 +75,6 @@ TEST(Metrics, DisabledRegistryRecordsNothing) {
   Histogram& h = reg.histogram("test.disabled.hist", {5});
   c.add(42);
   g.set(7);
-  g.record_max(9);
   h.record(3);
   EXPECT_EQ(c.value(), 0);
   EXPECT_EQ(g.value(), 0);
@@ -139,11 +125,9 @@ TEST(Metrics, SnapshotHelpersAndPrefixSum) {
   reg->counter("test.worker.0.hits").add(3);
   reg->counter("test.worker.1.hits").add(4);
   reg->counter("test.worker.1.misses").add(9);
-  reg->gauge("test.g").set(17);
   const MetricsSnapshot s = reg->snapshot();
   EXPECT_EQ(s.counter_or("test.worker.0.hits"), 3);
   EXPECT_EQ(s.counter_or("absent", -5), -5);
-  EXPECT_EQ(s.gauge_or("test.g"), 17);
   EXPECT_EQ(s.counter_prefix_sum("test.worker.", ".hits"), 7);
   EXPECT_EQ(s.counter_prefix_sum("test.worker.", ".misses"), 9);
   EXPECT_EQ(s.counter_prefix_sum("nope.", ".hits"), 0);

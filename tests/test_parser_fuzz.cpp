@@ -187,12 +187,11 @@ TEST(ParserFuzz, Dsl) {
       *read_file(std::string(LUMI_SOURCE_DIR) + "/tests/fixtures/recordings/blinker.lumi"));
   const int accepted = fuzz(corpus, [](const std::string& text) {
     bool ok = false;
-    for (const bool validate : {false, true}) {
-      try {
-        (void)dsl::parse(text, {.validate = validate});
-        ok = true;
-      } catch (const std::invalid_argument&) {
-      }
+    try {
+      const Algorithm alg = dsl::parse(text);
+      ok = true;
+      alg.validate();
+    } catch (const std::invalid_argument&) {
     }
     return ok;
   });

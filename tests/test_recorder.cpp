@@ -78,7 +78,7 @@ Algorithm blinker() {
   const std::string text = slurp(std::string(LUMI_SOURCE_DIR) +
                                  "/tests/fixtures/recordings/blinker.lumi");
   EXPECT_FALSE(text.empty());
-  return dsl::parse(text, {.validate = false, .strict = false});
+  return dsl::parse(text);
 }
 
 // --- replay identity across the whole registry ------------------------------
@@ -342,6 +342,22 @@ TEST(RecorderFormat, LoadMalformedFileThrows) {
   // One number rule for every field: no '+' sign.
   const std::string budget = "max-steps " + std::to_string(rec.prov.max_steps);
   expect_rejected(swap_line(budget, "max-steps +" + std::to_string(rec.prov.max_steps)));
+
+  // Framing no recorder writes: more kept events than the ring holds or than
+  // were seen, and a witness that disagrees with the diagnosis or with the
+  // detector.
+  const Edit inconsistent[] = {
+      [](obs::Recording& r) { r.options.capacity = 1; },
+      [](obs::Recording& r) { r.events_seen = 3; },
+      [](obs::Recording& r) { r.diagnosis = obs::Diagnosis::BudgetExhausted; },
+      [](obs::Recording& r) { r.cycle.reset(); },
+      [](obs::Recording& r) { r.options.detect_cycles = false; },
+  };
+  for (const Edit edit : inconsistent) {
+    obs::Recording bad = rec;
+    edit(bad);
+    expect_rejected(obs::recording_serialize(bad));
+  }
 }
 
 TEST(CheckRecording, SelfTest) {
@@ -365,6 +381,8 @@ TEST(CheckRecording, SelfTest) {
       {slurp(dir + "bad_event.lumirec"), "line 35: unknown event kind 'teleport'"},
       {slurp(dir + "bad_diagnosis.lumirec"), "line 32: unknown diagnosis 'gremlins'"},
       {slurp(dir + "bad_truncated.lumirec"), "line 21: unexpected end of file"},
+      {slurp(dir + "bad_cycle_mismatch.lumirec"),
+       "line 24: cycle witness under diagnosis budget-exhausted"},
       {good + "end\n", "line " + past_end + ": content after end marker"},
   };
   for (const auto& [text, want] : malformed) {
@@ -375,16 +393,15 @@ TEST(CheckRecording, SelfTest) {
       EXPECT_NE(std::string(e.what()).find(want), std::string::npos) << e.what();
     }
   }
-  // Well-formed files whose outcome contradicts their own run diverge on
+  // A well-formed file whose outcome contradicts its own run diverges on
   // replay.
-  for (const char* name : {"bad_cycle_mismatch.lumirec", "bad_failure_mismatch.lumirec"}) {
-    const std::optional<obs::Recording> rec = obs::recording_load(dir + name);
-    ASSERT_TRUE(rec.has_value()) << name;
-    const std::vector<std::string> divergences = replay_recording(*rec);
-    EXPECT_TRUE(std::any_of(divergences.begin(), divergences.end(), [](const std::string& d) {
-      return d.starts_with("diagnosis:") || d.starts_with("outcome:");
-    })) << name;
-  }
+  const std::optional<obs::Recording> mismatch =
+      obs::recording_load(dir + "bad_failure_mismatch.lumirec");
+  ASSERT_TRUE(mismatch.has_value());
+  const std::vector<std::string> divergences = replay_recording(*mismatch);
+  EXPECT_TRUE(std::any_of(divergences.begin(), divergences.end(), [](const std::string& d) {
+    return d.starts_with("diagnosis:") || d.starts_with("outcome:");
+  }));
 }
 
 // --- doctor rendering -------------------------------------------------------
